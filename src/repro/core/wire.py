@@ -290,6 +290,11 @@ def unwrap_corr(blob: bytes) -> tuple[int, bytes]:
 
 
 # -- timestamps -------------------------------------------------------------
+#: Wire timestamps, like the envelope's ``messages.ts_ms``, carry whole
+#: milliseconds: two clock readings closer than this may encode alike.
+TS_QUANTUM_S = 1e-3
+
+
 def ts_to_bytes(timestamp: float) -> bytes:
     """Canonical 8-byte millisecond encoding (round, not truncate, so the
     float→ms→float round trip is exact on both sides of the wire)."""

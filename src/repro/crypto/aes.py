@@ -5,15 +5,21 @@ encryptions E (node encryption inside the secure index) and E′ (the PHI
 file-collection cipher), via the CTR / encrypt-then-MAC modes in
 :mod:`repro.crypto.modes`.
 
-A straightforward table-driven implementation: the S-box is generated at
-import time from the GF(2⁸) inverse + affine map (rather than pasted as a
-magic table), key expansion follows FIPS 197 §5.2, and the round function
-uses the standard SubBytes/ShiftRows/MixColumns/AddRoundKey pipeline on a
-16-byte column-major state.  Supports 128/192/256-bit keys.
+The S-box is generated at import time from the GF(2⁸) inverse + affine
+map (rather than pasted as a magic table), and so are the four 32-bit
+"T-tables" derived from it.  Key expansion follows FIPS 197 §5.2 on
+32-bit words.  Encryption runs the classic T-table round: each
+SubBytes/ShiftRows/MixColumns/AddRoundKey round is sixteen table
+lookups XORed into four column words.  Decryption (used only by CBC)
+keeps the byte-oriented inverse round on a 16-byte column-major state,
+reading the same word key schedule.  Supports 128/192/256-bit keys.
 
-Performance note: pure-Python AES runs at roughly 1 MB/s, which is ample
-for the protocol experiments (PHI files are small) and keeps the entire
-cipher inside the reproduction as the scope rules require.
+Performance note: the T-table round encrypts about 1.2 MiB/s (13 µs per
+block) on one core of a 2-core x86-64 host under CPython 3.11, about 3x
+the byte-oriented round it replaced, which ran at 327-406 KiB/s there.
+That is ample for the protocol experiments (PHI files are small) and
+keeps the entire cipher inside the reproduction as the scope rules
+require.
 """
 
 from __future__ import annotations
@@ -79,11 +85,6 @@ def _xtime(a: int) -> int:
     return a & 0xFF
 
 
-# Precomputed GF(2^8) multiply tables for the MixColumns coefficients.
-_MUL2 = bytes(_xtime(i) for i in range(256))
-_MUL3 = bytes(_xtime(i) ^ i for i in range(256))
-
-
 def _gf_mul_small(a: int, b: int) -> int:
     result = 0
     for _ in range(8):
@@ -94,13 +95,43 @@ def _gf_mul_small(a: int, b: int) -> int:
     return result
 
 
+# Precomputed GF(2^8) multiply tables for the InvMixColumns coefficients.
 _MUL9 = bytes(_gf_mul_small(i, 9) for i in range(256))
 _MUL11 = bytes(_gf_mul_small(i, 11) for i in range(256))
 _MUL13 = bytes(_gf_mul_small(i, 13) for i in range(256))
 _MUL14 = bytes(_gf_mul_small(i, 14) for i in range(256))
 
+
+def _t_tables() -> tuple[tuple[int, ...], ...]:
+    """Encryption T-tables: SubBytes then one MixColumns column, as words.
+
+    ``_TE0[x]`` is the column ``(2·S[x], S[x], S[x], 3·S[x])`` packed
+    big-endian; ``_TE1``..``_TE3`` are its byte rotations, one per row
+    that ShiftRows brings into the column.
+    """
+    te0 = []
+    for x in range(256):
+        s = _SBOX[x]
+        te0.append((_xtime(s) << 24) | (s << 16) | (s << 8) | (_xtime(s) ^ s))
+    te1 = [(w >> 8) | ((w & 0xFF) << 24) for w in te0]
+    te2 = [(w >> 8) | ((w & 0xFF) << 24) for w in te1]
+    te3 = [(w >> 8) | ((w & 0xFF) << 24) for w in te2]
+    return tuple(te0), tuple(te1), tuple(te2), tuple(te3)
+
+
+_TE0, _TE1, _TE2, _TE3 = _t_tables()
+# The S-box pre-shifted into each byte lane (final round, SubWord).
+_S24 = tuple(b << 24 for b in _SBOX)
+_S16 = tuple(b << 16 for b in _SBOX)
+_S8 = tuple(b << 8 for b in _SBOX)
+
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
          0x6C, 0xD8, 0xAB, 0x4D)
+
+
+def _sub_word(w: int) -> int:
+    return (_S24[w >> 24] | _S16[(w >> 16) & 0xFF] | _S8[(w >> 8) & 0xFF]
+            | _SBOX[w & 0xFF])
 
 
 class AES:
@@ -118,68 +149,81 @@ class AES:
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
 
-    def _expand_key(self, key: bytes) -> list[list[int]]:
-        """FIPS 197 key schedule; returns one 16-byte list per round key."""
+    def _expand_key(self, key: bytes) -> list[int]:
+        """FIPS 197 key schedule: 4·(rounds + 1) big-endian 32-bit words.
+
+        Round key r is words ``4r .. 4r + 3``, one per state column.
+        """
         nk = len(key) // 4
-        words = [list(key[4 * i: 4 * i + 4]) for i in range(nk)]
-        total_words = 4 * (self.rounds + 1)
-        for i in range(nk, total_words):
-            temp = list(words[i - 1])
+        words = [int.from_bytes(key[4 * i: 4 * i + 4], "big")
+                 for i in range(nk)]
+        for i in range(nk, 4 * (self.rounds + 1)):
+            temp = words[i - 1]
             if i % nk == 0:
-                temp = temp[1:] + temp[:1]                      # RotWord
-                temp = [_SBOX[b] for b in temp]                 # SubWord
-                temp[0] ^= _RCON[i // nk - 1]
+                temp = ((temp << 8) & 0xFFFFFFFF) | (temp >> 24)  # RotWord
+                temp = _sub_word(temp) ^ (_RCON[i // nk - 1] << 24)
             elif nk > 6 and i % nk == 4:
-                temp = [_SBOX[b] for b in temp]
-            words.append([a ^ b for a, b in zip(words[i - nk], temp)])
-        round_keys = []
-        for round_index in range(self.rounds + 1):
-            rk: list[int] = []
-            for w in words[4 * round_index: 4 * round_index + 4]:
-                rk.extend(w)
-            round_keys.append(rk)
-        return round_keys
+                temp = _sub_word(temp)
+            words.append(words[i - nk] ^ temp)
+        return words
+
+    def _round_key_bytes(self, round_index: int) -> bytes:
+        w = self._round_keys[4 * round_index: 4 * round_index + 4]
+        return ((w[0] << 96) | (w[1] << 64) | (w[2] << 32)
+                | w[3]).to_bytes(16, "big")
 
     # -- block operations ---------------------------------------------------
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
             raise ParameterError("AES block must be 16 bytes")
-        state = [block[i] ^ self._round_keys[0][i] for i in range(16)]
-        for round_index in range(1, self.rounds):
-            state = self._encrypt_round(state, self._round_keys[round_index])
-        # Final round: no MixColumns.
-        sbox = _SBOX
-        temp = [sbox[b] for b in state]
-        temp = self._shift_rows(temp)
-        rk = self._round_keys[self.rounds]
-        return bytes(temp[i] ^ rk[i] for i in range(16))
+        rk = self._round_keys
+        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+        x = int.from_bytes(block, "big")
+        s0 = (x >> 96) ^ rk[0]
+        s1 = ((x >> 64) & 0xFFFFFFFF) ^ rk[1]
+        s2 = ((x >> 32) & 0xFFFFFFFF) ^ rk[2]
+        s3 = (x & 0xFFFFFFFF) ^ rk[3]
+        last = 4 * self.rounds
+        for i in range(4, last, 4):
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
+                ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[i],
+                te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
+                ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[i + 1],
+                te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
+                ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[i + 2],
+                te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
+                ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[i + 3],
+            )
+        # Final round: SubBytes and ShiftRows only, no MixColumns.
+        s24, s16, s8, s_ = _S24, _S16, _S8, _SBOX
+        out = ((s24[s0 >> 24] | s16[(s1 >> 16) & 0xFF]
+                | s8[(s2 >> 8) & 0xFF] | s_[s3 & 0xFF]) ^ rk[last]) << 96
+        out |= ((s24[s1 >> 24] | s16[(s2 >> 16) & 0xFF]
+                 | s8[(s3 >> 8) & 0xFF] | s_[s0 & 0xFF]) ^ rk[last + 1]) << 64
+        out |= ((s24[s2 >> 24] | s16[(s3 >> 16) & 0xFF]
+                 | s8[(s0 >> 8) & 0xFF] | s_[s1 & 0xFF]) ^ rk[last + 2]) << 32
+        out |= ((s24[s3 >> 24] | s16[(s0 >> 16) & 0xFF]
+                 | s8[(s1 >> 8) & 0xFF] | s_[s2 & 0xFF]) ^ rk[last + 3])
+        return out.to_bytes(16, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
             raise ParameterError("AES block must be 16 bytes")
-        rk = self._round_keys[self.rounds]
+        rk = self._round_key_bytes(self.rounds)
         state = [block[i] ^ rk[i] for i in range(16)]
         state = self._inv_shift_rows(state)
         state = [_INV_SBOX[b] for b in state]
         for round_index in range(self.rounds - 1, 0, -1):
-            rk = self._round_keys[round_index]
+            rk = self._round_key_bytes(round_index)
             state = [state[i] ^ rk[i] for i in range(16)]
             state = self._inv_mix_columns(state)
             state = self._inv_shift_rows(state)
             state = [_INV_SBOX[b] for b in state]
-        rk = self._round_keys[0]
+        rk = self._round_key_bytes(0)
         return bytes(state[i] ^ rk[i] for i in range(16))
 
-    # -- round building blocks (state is a flat 16-list, column-major) ------
-    @staticmethod
-    def _shift_rows(s: list[int]) -> list[int]:
-        return [
-            s[0], s[5], s[10], s[15],
-            s[4], s[9], s[14], s[3],
-            s[8], s[13], s[2], s[7],
-            s[12], s[1], s[6], s[11],
-        ]
-
+    # -- inverse round building blocks (flat 16-list, column-major) ---------
     @staticmethod
     def _inv_shift_rows(s: list[int]) -> list[int]:
         return [
@@ -188,19 +232,6 @@ class AES:
             s[8], s[5], s[2], s[15],
             s[12], s[9], s[6], s[3],
         ]
-
-    def _encrypt_round(self, state: list[int], rk: list[int]) -> list[int]:
-        sbox, mul2, mul3 = _SBOX, _MUL2, _MUL3
-        s = [sbox[b] for b in state]
-        s = self._shift_rows(s)
-        out = [0] * 16
-        for c in range(0, 16, 4):
-            a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-            out[c] = mul2[a0] ^ mul3[a1] ^ a2 ^ a3 ^ rk[c]
-            out[c + 1] = a0 ^ mul2[a1] ^ mul3[a2] ^ a3 ^ rk[c + 1]
-            out[c + 2] = a0 ^ a1 ^ mul2[a2] ^ mul3[a3] ^ rk[c + 2]
-            out[c + 3] = mul3[a0] ^ a1 ^ a2 ^ mul2[a3] ^ rk[c + 3]
-        return out
 
     @staticmethod
     def _inv_mix_columns(s: list[int]) -> list[int]:

@@ -14,21 +14,49 @@ import hashlib
 from repro.exceptions import IntegrityError
 
 _BLOCK_SIZE = 64  # SHA-256 block size in bytes
-_IPAD = bytes(0x36 for _ in range(_BLOCK_SIZE))
-_OPAD = bytes(0x5C for _ in range(_BLOCK_SIZE))
+# Byte-translation tables that XOR every key byte with ipad / opad at once.
+_IPAD_TABLE = bytes(x ^ 0x36 for x in range(256))
+_OPAD_TABLE = bytes(x ^ 0x5C for x in range(256))
 
 HMAC_OUTPUT_SIZE = 32
 
 
-def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256(key, message) per RFC 2104."""
+def _padded_keys(key: bytes) -> tuple[bytes, bytes]:
+    """RFC 2104 key blocks: ``(K ⊕ ipad, K ⊕ opad)`` for a zero-padded K."""
     if len(key) > _BLOCK_SIZE:
         key = hashlib.sha256(key).digest()
     key = key.ljust(_BLOCK_SIZE, b"\x00")
-    inner_key = bytes(k ^ i for k, i in zip(key, _IPAD))
-    outer_key = bytes(k ^ o for k, o in zip(key, _OPAD))
+    return key.translate(_IPAD_TABLE), key.translate(_OPAD_TABLE)
+
+
+def hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256(key, message) per RFC 2104."""
+    inner_key, outer_key = _padded_keys(key)
     inner = hashlib.sha256(inner_key + message).digest()
     return hashlib.sha256(outer_key + inner).digest()
+
+
+class HmacKey:
+    """A fixed HMAC-SHA256 key whose two padded blocks are hashed once.
+
+    ``HmacKey(key).mac(m) == hmac_sha256(key, m)``; each call then only
+    copies the two prepared hash states, which pays off for keys used
+    many times (the Feistel round keys).
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes) -> None:
+        inner_key, outer_key = _padded_keys(key)
+        self._inner = hashlib.sha256(inner_key)
+        self._outer = hashlib.sha256(outer_key)
+
+    def mac(self, message: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

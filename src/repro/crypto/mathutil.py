@@ -211,7 +211,8 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ParameterError("xor_bytes requires equal lengths (%d != %d)"
                              % (len(a), len(b)))
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big")
+            ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def ceil_div(a: int, b: int) -> int:

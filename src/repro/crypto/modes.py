@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.crypto.aes import AES, BLOCK_SIZE
 from repro.crypto.hmac_impl import hmac_sha256, verify_hmac
+from repro.crypto.mathutil import xor_bytes
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import DecryptionError, ParameterError
 
@@ -35,15 +36,11 @@ def ctr_transform(cipher: AES, nonce: bytes, data: bytes) -> bytes:
     """
     if len(nonce) != NONCE_SIZE:
         raise ParameterError("CTR nonce must be %d bytes" % NONCE_SIZE)
-    output = bytearray(len(data))
-    for block_index in range((len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        counter_block = nonce + block_index.to_bytes(4, "big")
-        keystream = cipher.encrypt_block(counter_block)
-        start = block_index * BLOCK_SIZE
-        chunk = data[start: start + BLOCK_SIZE]
-        for i, byte in enumerate(chunk):
-            output[start + i] = byte ^ keystream[i]
-    return bytes(output)
+    encrypt = cipher.encrypt_block
+    keystream = b"".join(
+        encrypt(nonce + block_index.to_bytes(4, "big"))
+        for block_index in range((len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE))
+    return xor_bytes(data, keystream[:len(data)])
 
 
 def _derive_key(master: bytes, label: bytes, length: int = 16) -> bytes:

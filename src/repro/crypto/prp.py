@@ -23,7 +23,7 @@ Both are bijections for every key, invertible, and deterministic.
 
 from __future__ import annotations
 
-from repro.crypto.hmac_impl import hmac_sha256
+from repro.crypto.hmac_impl import HmacKey, hmac_sha256
 from repro.exceptions import ParameterError
 
 _DEFAULT_ROUNDS = 10
@@ -41,19 +41,20 @@ class FeistelPrp:
         self.rounds = rounds
         self._left_bits = (bits + 1) // 2
         self._right_bits = bits // 2
-        # Pre-derive one round key per round (domain-separated HMAC keys).
+        # Pre-derive one round key per round (domain-separated HMAC keys),
+        # each prepared once since every evaluation uses all of them.
         self._round_keys = [
-            hmac_sha256(key, b"feistel-round" + i.to_bytes(4, "big"))
+            HmacKey(hmac_sha256(key, b"feistel-round" + i.to_bytes(4, "big")))
             for i in range(rounds)
         ]
 
     def _round_function(self, round_index: int, value: int, out_bits: int) -> int:
         data = value.to_bytes(max(16, (value.bit_length() + 7) // 8), "big")
-        key = self._round_keys[round_index]
+        mac = self._round_keys[round_index].mac
         digest = b""
         counter = 0
         while len(digest) * 8 < out_bits:
-            digest += hmac_sha256(key, counter.to_bytes(4, "big") + data)
+            digest += mac(counter.to_bytes(4, "big") + data)
             counter += 1
         return int.from_bytes(digest, "big") & ((1 << out_bits) - 1)
 

@@ -2,16 +2,20 @@
 
 The reference backend for parity testing — frames still serialize and
 route through :meth:`handle_frame`, but delivery is a function call.  A
-tiny synthetic clock tick per record keeps envelope timestamps strictly
-increasing (two seals of an identical payload must never collide in a
-replay guard) while staying far inside the freshness window.
+synthetic clock tick of one timestamp quantum per record keeps envelope
+timestamps strictly increasing (two seals of an identical payload must
+never collide in a replay guard) while staying far inside the freshness
+window.
 """
 
 from __future__ import annotations
 
+from repro.core import wire
 from repro.net.transport.base import FrameRecord, Transport
 
-_TICK_S = 1e-4
+# A finer tick would let back-to-back records share an envelope
+# millisecond, and identical rounds would then trip the ReplayGuard.
+_TICK_S = wire.TS_QUANTUM_S
 
 
 class LoopbackTransport(Transport):

@@ -33,6 +33,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.crypto.mathutil import xor_bytes
 from repro.crypto.modes import SemanticCipher
 from repro.crypto.prf import Prf
 from repro.crypto.prp import DomainPrp
@@ -175,7 +176,7 @@ class SecureIndex:
             return []
         if len(masked) != MASK_BYTES or len(trapdoor.mask) != MASK_BYTES:
             raise SearchError("malformed table entry or trapdoor")
-        value = bytes(m ^ k for m, k in zip(masked, trapdoor.mask))
+        value = xor_bytes(masked, trapdoor.mask)
         addr = int.from_bytes(value[:ADDR_BYTES], "big")
         key = value[ADDR_BYTES:]
         fids: list[bytes] = []
@@ -230,15 +231,18 @@ def build_secure_index(
         # λ_{i,0}: the key stored (masked) in T that opens the head node.
         lam_prev = rng.random_bytes(LAMBDA_BYTES)
         head_key = lam_prev
+        # Each node's slot φ_a(C) is its predecessor's next_addr, so φ_a
+        # is evaluated once per counter value.
+        slot = head_addr
         for j, fid in enumerate(fids):
             tail = j == len(fids) - 1
             lam_next = rng.random_bytes(LAMBDA_BYTES)
             next_addr = 0 if tail else phi.encrypt(counter + 1)
             node = _pack_node(fid, lam_next if not tail else bytes(LAMBDA_BYTES),
                               next_addr, tail)
-            slot = phi.encrypt(counter)
             array[slot] = SemanticCipher(lam_prev).encrypt(node, rng)
             lam_prev = lam_next
+            slot = next_addr
             counter += 1
         value = head_addr.to_bytes(ADDR_BYTES, "big") + head_key
         mask = prf_b(keyword.encode())
@@ -248,8 +252,7 @@ def build_secure_index(
         if virtual_address in table_entries:
             raise ParameterError("virtual-address collision in T "
                                  "(increase β)")
-        table_entries[virtual_address] = bytes(
-            v ^ m for v, m in zip(value, mask))
+        table_entries[virtual_address] = xor_bytes(value, mask)
 
     # Pad A: unused slots get random blocks indistinguishable from nodes.
     for i, slot in enumerate(array):

@@ -118,6 +118,38 @@ class TestLoopbackTransport:
         transport.notify("c", "svc://a", wire.make_frame(b"echo"), label="l")
         assert transport.now > t0
 
+    def test_clock_tick_spans_an_envelope_quantum(self):
+        """Consecutive records land in distinct envelope milliseconds."""
+        from repro.core.protocols.messages import ts_ms
+        transport = LoopbackTransport()
+        transport.bind("svc://a", EchoEndpoint())
+        stamps = []
+        for _ in range(50):
+            transport.notify("c", "svc://a", wire.make_frame(b"echo"),
+                             label="l")
+            stamps.append(ts_ms(transport.now))
+        assert stamps == sorted(set(stamps))
+
+    def test_back_to_back_identical_rounds_pass_the_replay_guard(self):
+        """Five identical family rounds in a row: no ReplayError."""
+        from repro.core.protocols.emergency import family_based_retrieval
+        from repro.core.protocols.privilege import assign_privilege
+        from repro.core.protocols.storage import private_phi_storage
+        from repro.core.system import build_system
+        from repro.ehr.records import Category
+        system = build_system(seed=b"loopback-replay")
+        transport = LoopbackTransport()
+        patient, server = system.patient, system.sserver
+        patient.add_record(Category.ALLERGIES, ["flu"], "Seasonal flu.",
+                           server.address)
+        private_phi_storage(patient, server, transport)
+        assign_privilege(patient, system.family, server, transport)
+        for _ in range(5):
+            result = family_based_retrieval(system.family, server,
+                                            transport, ["flu"])
+            assert [f.medical_content for f in result.files] == [
+                "Seasonal flu."]
+
     def test_unbound_address_raises(self):
         transport = LoopbackTransport()
         with pytest.raises(TransportError):
