@@ -10,8 +10,7 @@ targets side by side and appends a run entry to a trajectory JSON file
    :class:`~repro.crypto.pairing.PreparedPairing` replay,
 3. Hess IBS verification — per-signature ``verify`` vs the randomized
    single-final-exponentiation ``batch_verify`` (n = 8),
-4. S-server search serving — serial ``handle_search`` loop vs
-   ``handle_search_batch``, plus index deserialization cold vs cached.
+4. index deserialization — cold ``SecureIndex.from_bytes`` vs cached.
 
 Usage::
 
@@ -19,8 +18,8 @@ Usage::
         --params ss512 --iters 20 --out BENCH_crypto.json
 
 The crypto sections honour ``--params`` (ss512 = production Type-A,
-ss160 = fast test curve); the search sections always run on the fast test
-parameters because their cost is symmetric-crypto-bound.
+ss160 = fast test curve); the index-cache section is symmetric-crypto-bound
+and does not depend on them.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.sse.index import SecureIndex, clear_index_cache, load_index_cached
 from repro.sse.scheme import Sse1Scheme, keygen
 
 IBS_BATCH = 8
-SEARCH_BATCH = 8
 ENGINE_BATCH = 16
 ENGINE_WORKER_STEPS = (1, 2, 4)
 
@@ -121,58 +119,6 @@ def bench_ibs_batch(params, iters: int) -> dict:
     assert batch_verify(params, pkg.public_key, items)
     return {"batch_size": IBS_BATCH, "naive_ms": naive_s * 1e3,
             "accelerated_ms": fast_s * 1e3, "speedup": naive_s / fast_s}
-
-
-def _build_search_system():
-    from repro.core.protocols.storage import private_phi_storage
-    from repro.core.system import build_system
-    from repro.ehr.phi import generate_workload
-    system = build_system(seed=b"bench-runner-search")
-    workload = generate_workload(system.rng.fork("workload"), 10,
-                                 server_address=system.sserver.address)
-    system.patient.import_collection(workload)
-    private_phi_storage(system.patient, system.sserver, system.network)
-    return system
-
-
-def _search_requests(system, count: int, now_base: float):
-    from repro.core.protocols.messages import pack_fields, seal
-    from repro.core.sserver import SearchRequest
-    server = system.sserver
-    collection_id = system.patient.collection_ids[server.address]
-    keywords = sorted(system.patient.collection.index.keywords())
-    requests = []
-    for i in range(count):
-        pseudonym = system.patient.fresh_pseudonym()
-        nu = system.patient.session_key_with(server.identity_key.public,
-                                             pseudonym)
-        td = system.patient.trapdoor(keywords[i % len(keywords)]).to_bytes()
-        requests.append(SearchRequest(
-            pseudonym=pseudonym.public, collection_id=collection_id,
-            envelope=seal(nu, "phi-retrieve", pack_fields(td),
-                          now_base + i * 1e-3)))
-    return server, requests
-
-
-def bench_parallel_search(iters: int) -> dict:
-    system = _build_search_system()
-    iters = max(2, iters // 2)
-
-    def serial(now_base):
-        server, requests = _search_requests(system, SEARCH_BATCH, now_base)
-        return [server.handle_search(r.pseudonym, r.collection_id,
-                                     r.envelope, now_base)
-                for r in requests]
-
-    def batched(now_base):
-        server, requests = _search_requests(system, SEARCH_BATCH, now_base)
-        return server.handle_search_batch(requests, now_base)
-
-    # Fresh timestamps per round keep the replay guard green.
-    serial_s = _time_each(serial, [1e4 + 10.0 * i for i in range(iters)])
-    batch_s = _time_each(batched, [1e6 + 10.0 * i for i in range(iters)])
-    return {"batch_size": SEARCH_BATCH, "serial_ms": serial_s * 1e3,
-            "parallel_ms": batch_s * 1e3, "speedup": serial_s / batch_s}
 
 
 def bench_engine_scaling(params, iters: int) -> dict:
@@ -276,12 +222,6 @@ def main() -> None:
           % (results["ibs_batch_verify"]["naive_ms"],
              results["ibs_batch_verify"]["accelerated_ms"],
              results["ibs_batch_verify"]["speedup"]))
-    print("== S-server batched search (test params, n=%d) ==" % SEARCH_BATCH)
-    results["parallel_search"] = bench_parallel_search(args.iters)
-    print("   serial %.3f ms  pooled %.3f ms  speedup %.2fx"
-          % (results["parallel_search"]["serial_ms"],
-             results["parallel_search"]["parallel_ms"],
-             results["parallel_search"]["speedup"]))
     print("== engine per-core scaling (%s, n=%d, %s cores) =="
           % (args.params, ENGINE_BATCH, os.cpu_count()))
     results["engine_scaling"] = bench_engine_scaling(params, args.iters)

@@ -426,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "of failing outright")
     common.add_argument("--workers", type=int, default=0, metavar="N",
                         help="crypto worker processes for the batched "
-                             "pairing paths (batch verify, multi-keyword "
-                             "search); 0 or 1 = serial.  Overrides "
+                             "pairing paths (batch verify, PEKS tests); "
+                             "0 or 1 = serial.  Overrides "
                              "HCPP_CRYPTO_WORKERS for this run")
     parser = argparse.ArgumentParser(
         prog="repro-hcpp",
@@ -471,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     if not workers:
         return args.func(args)
     # Install the process-wide default engine: every engine-aware hot
-    # path (batch verify, search) picks it up without plumbing.
+    # path (batch verify, PEKS tests) picks it up without plumbing.
     from repro.crypto.engine import configure
     configure(workers)
     try:

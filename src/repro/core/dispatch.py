@@ -7,7 +7,7 @@ handlers.  Protocol code never touches a remote party's methods
 directly; it builds a frame, hands it to a transport, and parses the
 response.  That boundary is what lets the same protocol run unchanged
 over in-process dispatch, the discrete-event simulator, or real TCP
-between OS processes (and is enforced by ``tools/check_layering.py``).
+between OS processes (and is enforced by ``hcpplint --rules layering``).
 
 Server-side :class:`~repro.exceptions.ReproError` exceptions serialize
 into error responses and re-raise client-side as the same class.
@@ -50,6 +50,14 @@ def _parse_epoch(epoch_b: bytes) -> int:
         raise ParameterError("federation epoch must be 8 bytes, got %d"
                              % len(epoch_b))
     return int.from_bytes(epoch_b, "big")
+
+
+def _role_identity(role_b: bytes) -> str:
+    """The UTF-8 role identity an MHI frame names."""
+    try:
+        return role_b.decode()
+    except UnicodeDecodeError:
+        raise ParameterError("role identity is not UTF-8") from None
 
 
 def _pack_guard(guard: ReplayGuard) -> bytes:
@@ -376,14 +384,15 @@ class SServerEndpoint(Endpoint):
             raise IntegrityError("MHI ciphertext/tag digest mismatch")
         self.server.handle_mhi_store(
             Point.from_bytes(pseud_b, self._curve), envelope,
-            role_b.decode(), IbeCiphertext.from_bytes(ct_b, self._curve),
+            _role_identity(role_b),
+            IbeCiphertext.from_bytes(ct_b, self._curve),
             MultiKeywordTag.from_bytes(tag_b, self._curve), self.now)
         return b""
 
     def _op_mhi_search(self, fields: list[bytes]) -> bytes:
         role_b, env_b, trapdoor_b, pkg_public_b = self._expect(fields, 4)
         reply, _matches = self.server.handle_mhi_search(
-            role_b.decode(), Envelope.from_bytes(env_b),
+            _role_identity(role_b), Envelope.from_bytes(env_b),
             PeksTrapdoor.from_bytes(trapdoor_b, self._curve),
             Point.from_bytes(pkg_public_b, self._curve), self.now)
         return reply.to_bytes()
@@ -584,8 +593,8 @@ def bind_sserver(transport, server: StorageServer, hibc_node=None,
     (static socket routes), nothing is bound locally and None returns.
 
     ``engine`` (a :class:`repro.crypto.engine.CryptoEngine`) installs a
-    process-parallel crypto pool on the served S-server; the batched
-    search handlers then fan their pairing work across its workers.
+    process-parallel crypto pool on the served S-server; the MHI search
+    then fans its PEKS tests across its workers.
     Passing None leaves the server's existing engine (or the
     ``HCPP_CRYPTO_WORKERS`` process default) in force.
 

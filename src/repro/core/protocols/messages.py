@@ -149,8 +149,8 @@ class ReplayGuard:
     of the same tag raises :class:`ReplayError`.  Entries older than the
     window are pruned lazily so memory stays bounded.
 
-    Thread-safe: the S-server's batched search path checks envelopes from
-    worker threads, so the check-then-insert must be atomic (two threads
+    Thread-safe: the async transport serves pipelined frames from handler
+    threads, so the check-then-insert must be atomic (two threads
     presenting the same tag concurrently must not both pass).
     """
 

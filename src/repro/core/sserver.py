@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.crypto import engine as engine_mod
@@ -35,30 +34,17 @@ from repro.crypto.ec import Point
 from repro.crypto.ibe import IbeCiphertext, IdentityKeyPair
 from repro.crypto.hashes import h1_identity
 from repro.crypto.modes import AuthenticatedCipher
-from repro.crypto.nike import SHARED_KEY_SPEC, shared_key_from_points
+from repro.crypto.nike import shared_key_from_points
 from repro.crypto.params import DomainParams
 from repro.crypto.peks import MultiKeywordPeks, MultiKeywordTag, PeksTrapdoor
 from repro.crypto.rng import HmacDrbg
-from repro.sse.index import (SEARCH_BLOB_SPEC, SecureIndex, Trapdoor,
-                             load_index_cached)
+from repro.sse.index import SecureIndex, Trapdoor, load_index_cached
 from repro.sse.multiuser import WrappedTrapdoor, unwrap_trapdoor
 from repro.core.protocols.messages import (Envelope, ReplayGuard,
                                            open_envelope, pack_fields, seal,
                                            unpack_fields)
 from repro.core.shard import collection_id_for_tag
 from repro.exceptions import ParameterError, ReproError, StorageError
-
-
-def _warn_max_workers(max_workers, method: str) -> None:
-    """PR 1's search thread pool is gone (measured 0.95x vs serial —
-    GIL-bound); parallelism now comes from the process-parallel crypto
-    engine.  Passing the dead parameter gets a warning, not silence."""
-    if max_workers is not None:
-        warnings.warn(
-            "StorageServer.%s(max_workers=...) is deprecated and has no "
-            "effect; configure a crypto engine (HCPP_CRYPTO_WORKERS, "
-            "--workers, or server.engine) instead" % method,
-            DeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -126,6 +112,11 @@ class Observation:
     timestamp: float
 
 
+#: Labels a single-collection retrieval accepts: the same-domain SOK
+#: request and the cross-domain (HIBC session) one.
+_RETRIEVE_LABELS = ("phi-retrieve", "crossdomain/retrieve")
+
+
 def _collection_id_for(envelope: Envelope) -> bytes:
     """Deterministic collection id, derived from the store envelope's tag.
 
@@ -153,7 +144,7 @@ class StorageServer:
         self.params = params
         self.identity_key = identity_key         # (PK_S, Γ_S)
         self._rng = rng
-        #: Process-parallel crypto engine for the batched search paths.
+        #: Process-parallel crypto engine for the MHI PEKS batch test.
         #: None falls back to the HCPP_CRYPTO_WORKERS default at call time
         #: (see repro.crypto.engine.resolve); results are byte-identical
         #: either way.
@@ -229,7 +220,60 @@ class StorageServer:
             raise StorageError("unknown collection id")
         return collection
 
-    # -- common-case retrieval (§IV.D) -----------------------------------------
+    # -- retrieval (§IV.D, §IV.E.1) ------------------------------------------
+    def _search(self, key: bytes, observed: bytes,
+                collection_ids: "list[bytes]", envelope: Envelope,
+                now: float, guard: "ReplayGuard | None",
+                labels: "str | tuple[str, ...]" = "phi-retrieve",
+                wrapped: bool = False,
+                foreign: "dict[bytes, list[bytes]] | None" = None,
+                sealed: bool = True) -> "Envelope | list[list[bytes]]":
+        """The one S-server search: open, walk each collection, seal.
+
+        Verifies the envelope (HMAC under ``key``, label, freshness, and
+        the replay window when ``guard`` is given), then looks up every
+        requested collection — except those ``foreign`` already answers
+        — before searching any.  Each trapdoor in the payload is decoded
+        (θ_d-unwrapped under the collection's current d when
+        ``wrapped``), logged as one observation, walked through the
+        index and resolved fid → ``fid ‖ ct``.  Returns the results
+        sealed under ``key`` in collection order, or the raw per-
+        collection chunks when ``sealed`` is false.
+        """
+        payload = open_envelope(key, envelope, now, guard,
+                                expected_label=labels)
+        raw_trapdoors = unpack_fields(payload)
+        foreign = foreign or {}
+        collections = [None if cid in foreign else self._collection(cid)
+                       for cid in collection_ids]
+        kind = "search-wrapped" if wrapped else "search"
+        chunks: list[list[bytes]] = []
+        for cid, collection in zip(collection_ids, collections):
+            if collection is None:
+                chunks.append(foreign[cid])
+                continue
+            index = collection.resolve_index()
+            results: list[bytes] = []
+            for raw in raw_trapdoors:
+                if wrapped:
+                    trapdoor = unwrap_trapdoor(collection.group_secret_d,
+                                               WrappedTrapdoor(raw))
+                else:
+                    trapdoor = Trapdoor.from_bytes(raw)
+                self._observe(kind, observed, cid,
+                              trapdoor.address.to_bytes(16, "big"), now)
+                for fid in index.search(trapdoor):
+                    ciphertext = collection.files.get(fid)
+                    if ciphertext is None:
+                        raise StorageError("index references a missing file")
+                    results.append(fid + ciphertext)
+            chunks.append(results)
+        if not sealed:
+            return chunks
+        return seal(key, "phi-results",
+                    pack_fields(*[item for chunk in chunks for item in chunk]),
+                    now)
+
     def handle_search(self, pseudonym: Point, collection_id: bytes,
                       envelope: Envelope, now: float) -> Envelope:
         """Steps 1→2: verify HMAC_ν, run SEARCH, return Λ(kw) under HMAC_ν.
@@ -237,9 +281,9 @@ class StorageServer:
         The envelope payload is one or more serialized trapdoors (the
         paper: "multiple keywords can be searched in step 1").
         """
-        key = self.session_key(pseudonym)
-        return self._search_with_key(key, pseudonym.to_bytes(),
-                                     collection_id, envelope, now)
+        return self._search(self.session_key(pseudonym), pseudonym.to_bytes(),
+                            [collection_id], envelope, now, self._guard,
+                            _RETRIEVE_LABELS)
 
     def handle_search_session(self, session_key: bytes,
                               collection_id: bytes, envelope: Envelope,
@@ -247,97 +291,35 @@ class StorageServer:
         """The cross-domain variant (§IV.D note): identical flow, but the
         shared key was established through the HIBC handshake instead of
         the same-domain SOK pairing."""
-        return self._search_with_key(session_key, b"hibc-session",
-                                     collection_id, envelope, now)
-
-    def _search_with_key(self, key: bytes, observed_client: bytes,
-                         collection_id: bytes, envelope: Envelope,
-                         now: float) -> Envelope:
-        payload = open_envelope(key, envelope, now, self._guard,
-                                expected_label=("phi-retrieve",
-                                                "crossdomain/retrieve"))
-        results = self._run_trapdoors(observed_client, collection_id,
-                                      unpack_fields(payload), now)
-        return seal(key, "phi-results", pack_fields(*results), now)
-
-    def _run_trapdoors(self, observed_client: bytes, collection_id: bytes,
-                       raw_trapdoors: list[bytes], now: float) -> list[bytes]:
-        """SEARCH each trapdoor against one collection; fid‖ct results."""
-        collection = self._collection(collection_id)
-        index = collection.resolve_index()
-        results: list[bytes] = []
-        for raw in raw_trapdoors:
-            trapdoor = Trapdoor.from_bytes(raw)
-            self._observe("search", observed_client, collection_id,
-                          trapdoor.address.to_bytes(16, "big"), now)
-            for fid in index.search(trapdoor):
-                ciphertext = collection.files.get(fid)
-                if ciphertext is None:
-                    raise StorageError("index references a missing file")
-                results.append(fid + ciphertext)
-        return results
+        return self._search(session_key, b"hibc-session", [collection_id],
+                            envelope, now, self._guard, _RETRIEVE_LABELS)
 
     def handle_search_batch(self, requests: "list[SearchRequest]",
-                            now: float,
-                            max_workers: int | None = None) -> list[Envelope]:
-        """Serve many independent search requests, in request order.
-
-        Equivalent to calling :meth:`handle_search` once per request —
-        the returned envelopes are byte-identical (sealing is
-        deterministic given key, payload, and ``now``).
-
-        PR 1's thread pool is gone: BENCH_crypto.json measured it at
-        0.95x *slower* than serial (pairings are pure CPython bytecode,
-        so threads just add GIL contention), so the default is a plain
-        serial loop.  When a crypto engine is configured (``--workers``,
-        ``HCPP_CRYPTO_WORKERS``, or the ``engine`` attribute) the SOK
-        session-key derivations — one pairing per request, the dominant
-        batch cost — fan out across worker *processes*; envelope
-        open/search/seal then runs serially in the parent, in request
-        order, so :class:`ReplayGuard` bookkeeping and the reply bytes
-        are exactly the serial ones.
-
-        .. deprecated:: PR 7
-           ``max_workers`` (the PR 1 thread pool size) has no effect;
-           configure a crypto engine instead.  Passing it warns.
-        """
-        _warn_max_workers(max_workers, "handle_search_batch")
-        eng = engine_mod.resolve(self.engine)
-        if eng is not None and len(requests) > 1:
-            keys = eng.map(SHARED_KEY_SPEC,
-                           [(self.identity_key.private, req.pseudonym)
-                            for req in requests])
-        else:
-            keys = [self.session_key(req.pseudonym) for req in requests]
-        return [self._search_with_key(key, req.pseudonym.to_bytes(),
-                                      req.collection_id, req.envelope, now)
-                for req, key in zip(requests, keys)]
+                            now: float) -> list[Envelope]:
+        """:meth:`handle_search` per request, in order; the first error
+        propagates."""
+        return [self.handle_search(r.pseudonym, r.collection_id, r.envelope,
+                                   now) for r in requests]
 
     def handle_search_each(self, requests: "list[SearchRequest]",
                            now: float) -> "list[tuple[Envelope | None, Exception | None]]":
         """Per-request outcomes for the batched wire op (OP_SEARCH_BATCH).
 
-        Same key-derivation fan-out as :meth:`handle_search_batch`, but
-        each request resolves independently to ``(reply, None)`` or
-        ``(None, exception)`` instead of the whole batch failing at the
-        first error.  Independence is what lets the federation router
-        splice per-shard sub-batches back together with responses
-        byte-identical to one server handling the whole batch: entry k's
-        outcome depends only on entry k, never on its neighbours.
+        Every request's SOK key is derived first (a bad pseudonym fails
+        the whole batch); then each request resolves independently to
+        ``(reply, None)`` or ``(None, exception)``.  Independence is what
+        lets the federation router splice per-shard sub-batches back
+        together with responses byte-identical to one server handling
+        the whole batch: entry k's outcome depends only on entry k,
+        never on its neighbours.
         """
-        eng = engine_mod.resolve(self.engine)
-        if eng is not None and len(requests) > 1:
-            keys = eng.map(SHARED_KEY_SPEC,
-                           [(self.identity_key.private, req.pseudonym)
-                            for req in requests])
-        else:
-            keys = [self.session_key(req.pseudonym) for req in requests]
+        keys = [self.session_key(req.pseudonym) for req in requests]
         outcomes: list[tuple[Envelope | None, Exception | None]] = []
         for req, key in zip(requests, keys):
             try:
-                outcomes.append((self._search_with_key(
-                    key, req.pseudonym.to_bytes(), req.collection_id,
-                    req.envelope, now), None))
+                outcomes.append((self._search(
+                    key, req.pseudonym.to_bytes(), [req.collection_id],
+                    req.envelope, now, self._guard, _RETRIEVE_LABELS), None))
             except ReproError as exc:
                 outcomes.append((None, exc))
         return outcomes
@@ -356,13 +338,8 @@ class StorageServer:
         one raw ``fid ‖ ct`` result list per requested collection, in
         the caller's collection order.
         """
-        key = self.session_key(pseudonym)
-        payload = open_envelope(key, envelope, now, None,
-                                expected_label="phi-retrieve")
-        raw_trapdoors = unpack_fields(payload)
-        observed = pseudonym.to_bytes()
-        return [self._run_trapdoors(observed, cid, raw_trapdoors, now)
-                for cid in collection_ids]
+        return self._search(self.session_key(pseudonym), pseudonym.to_bytes(),
+                            collection_ids, envelope, now, None, sealed=False)
 
     def handle_search_merge(self, pseudonym: Point,
                             collection_ids: list[bytes], envelope: Envelope,
@@ -379,89 +356,22 @@ class StorageServer:
         foreign shard fails, the guard here was never consumed and the
         client's retry replays cleanly.
         """
-        key = self.session_key(pseudonym)
-        payload = open_envelope(key, envelope, now, self._guard,
-                                expected_label="phi-retrieve")
-        raw_trapdoors = unpack_fields(payload)
-        observed = pseudonym.to_bytes()
-        chunks = []
-        for cid in collection_ids:
-            foreign = foreign_chunks.get(cid)
-            if foreign is not None:
-                chunks.append(foreign)
-            else:
-                chunks.append(self._run_trapdoors(observed, cid,
-                                                  raw_trapdoors, now))
-        results = [item for chunk in chunks for item in chunk]
-        return seal(key, "phi-results", pack_fields(*results), now)
+        return self._search(self.session_key(pseudonym), pseudonym.to_bytes(),
+                            collection_ids, envelope, now, self._guard,
+                            foreign=foreign_chunks)
 
     def handle_search_multi(self, pseudonym: Point,
                             collection_ids: list[bytes], envelope: Envelope,
-                            now: float,
-                            max_workers: int | None = None) -> Envelope:
+                            now: float) -> Envelope:
         """One trapdoor set searched across several collections.
 
         Single envelope, single HMAC/replay check; the same trapdoors run
         against every listed collection and the results concatenate in
         the caller's collection order — so the reply is byte-identical to
         a serial loop over the ids.
-
-        Serial by default (the PR 1 thread pool measured slower than
-        serial).  With a crypto engine and every collection blob-backed,
-        each collection's index walk runs in a worker process — workers
-        deserialize through their own index caches — while observation
-        logging and fid → ciphertext resolution stay in the parent, in
-        the same order as the serial loop.
-
-        .. deprecated:: PR 7
-           ``max_workers`` (the PR 1 thread pool size) has no effect;
-           configure a crypto engine instead.  Passing it warns.
         """
-        _warn_max_workers(max_workers, "handle_search_multi")
-        key = self.session_key(pseudonym)
-        payload = open_envelope(key, envelope, now, self._guard,
-                                expected_label="phi-retrieve")
-        raw_trapdoors = unpack_fields(payload)
-        observed = pseudonym.to_bytes()
-        eng = engine_mod.resolve(self.engine)
-        collections = [self._collection(cid) for cid in collection_ids]
-        if (eng is not None and len(collections) > 1
-                and all(c.index_blob is not None for c in collections)):
-            per_collection = eng.map(
-                SEARCH_BLOB_SPEC,
-                [(c.index_blob, raw_trapdoors) for c in collections])
-            chunks = [self._resolve_fids(c, raw_trapdoors, fid_lists,
-                                         observed, now)
-                      for c, fid_lists in zip(collections, per_collection)]
-        else:
-            chunks = [self._run_trapdoors(observed, c.collection_id,
-                                          raw_trapdoors, now)
-                      for c in collections]
-        results = [item for chunk in chunks for item in chunk]
-        return seal(key, "phi-results", pack_fields(*results), now)
-
-    def _resolve_fids(self, collection: StoredCollection,
-                      raw_trapdoors: list[bytes],
-                      fid_lists: list[list[bytes]], observed: bytes,
-                      now: float) -> list[bytes]:
-        """Parent-side tail of an engine-run collection search.
-
-        Replays exactly what :meth:`_run_trapdoors` does after the index
-        walk: per-trapdoor observation logging (the observations log is
-        parent state — workers cannot append to it) and fid → ciphertext
-        resolution, in the same order.
-        """
-        results: list[bytes] = []
-        for raw, fids in zip(raw_trapdoors, fid_lists):
-            trapdoor = Trapdoor.from_bytes(raw)
-            self._observe("search", observed, collection.collection_id,
-                          trapdoor.address.to_bytes(16, "big"), now)
-            for fid in fids:
-                ciphertext = collection.files.get(fid)
-                if ciphertext is None:
-                    raise StorageError("index references a missing file")
-                results.append(fid + ciphertext)
-        return results
+        return self._search(self.session_key(pseudonym), pseudonym.to_bytes(),
+                            collection_ids, envelope, now, self._guard)
 
     # -- family / P-device retrieval (§IV.E.1) ---------------------------------
     def handle_get_broadcast(self, pseudonym: Point, collection_id: bytes,
@@ -482,23 +392,9 @@ class StorageServer:
 
         Raises :class:`AccessDenied` for wraps under a stale (revoked) d.
         """
-        key = self.session_key(pseudonym)
-        payload = open_envelope(key, envelope, now, self._guard,
-                                expected_label="emergency/search")
-        collection = self._collection(collection_id)
-        results: list[bytes] = []
-        for raw in unpack_fields(payload):
-            trapdoor = unwrap_trapdoor(collection.group_secret_d,
-                                       WrappedTrapdoor(raw))
-            self._observe("search-wrapped", pseudonym.to_bytes(),
-                          collection_id,
-                          trapdoor.address.to_bytes(16, "big"), now)
-            for fid in collection.resolve_index().search(trapdoor):
-                ciphertext = collection.files.get(fid)
-                if ciphertext is None:
-                    raise StorageError("index references a missing file")
-                results.append(fid + ciphertext)
-        return seal(key, "phi-results", pack_fields(*results), now)
+        return self._search(self.session_key(pseudonym), pseudonym.to_bytes(),
+                            [collection_id], envelope, now, self._guard,
+                            "emergency/search", wrapped=True)
 
     # -- REVOKE (§IV.C) ----------------------------------------------------
     def handle_revoke(self, pseudonym: Point, collection_id: bytes,
@@ -733,6 +629,11 @@ def _deserialize_broadcast(blob: bytes) -> BroadcastCiphertext:
     if not fields:
         raise ParameterError("empty broadcast blob")
     revoked_blob, entries = fields[0], fields[1:]
-    revoked = frozenset(int(x) for x in revoked_blob.decode().split(",") if x)
+    try:
+        revoked = frozenset(int(x) for x in revoked_blob.decode().split(",")
+                            if x)
+    except ValueError:  # UnicodeDecodeError is a ValueError too
+        raise ParameterError("malformed revoked-leaf list in broadcast "
+                             "blob") from None
     cover = tuple((int.from_bytes(e[:8], "big"), e[8:]) for e in entries)
     return BroadcastCiphertext(cover=cover, revoked=revoked)

@@ -5,17 +5,16 @@ loops); BENCH_crypto.json then showed the GIL wall — thread pools gain
 1.03x on batch verify and *lose* to serial on search.  Pairings are pure
 CPython bytecode over big integers, so threads serialize on the
 interpreter lock.  This module moves the pairing-heavy hot paths — IBS
-``batch_verify``, PEKS/PECK ``test``, IBE/HIBC key derivation, and the
-S-server's multi-keyword search — into **worker processes**, which scale
-with cores.
+``batch_verify``, PEKS/PECK ``test`` and IBE/HIBC key derivation — into
+**worker processes**, which scale with cores.
 
 Design:
 
 * **Tasks are dotted specs**, ``"module:function"``, resolved with
   :mod:`importlib` inside the worker.  The engine therefore never imports
-  upper layers: ``repro.sse.index`` registers its own search task and the
-  crypto layer stays at the bottom of the dependency order (enforced by
-  hcpplint's layering contracts).
+  the modules whose tasks it runs, and the crypto layer stays at the
+  bottom of the dependency order (enforced by hcpplint's layering
+  contracts).
 * **Workers warm up once, in an initializer.**  Shipping a
   :class:`~repro.crypto.precompute.PrecomputedPoint` table (thousands of
   affine multiples) per task would drown the win in pickle bytes.

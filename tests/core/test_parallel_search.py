@@ -1,7 +1,5 @@
 """Parallel S-server serving: byte-identical to the serial handlers."""
 
-import warnings
-
 import pytest
 
 from repro.core.protocols.messages import (open_envelope, pack_fields, seal,
@@ -68,40 +66,6 @@ class TestSearchBatch:
         duplicated = [req, req, req]
         with pytest.raises(ReplayError):
             stored_system.sserver.handle_search_batch(duplicated, 700.0)
-
-
-class TestMaxWorkersDeprecation:
-    """``max_workers`` stopped doing anything when PR 6 replaced the
-    GIL-bound search thread pool with the crypto engine; passing it now
-    earns a DeprecationWarning, never silence."""
-
-    def test_batch_warns_and_still_serves(self, stored_system):
-        req, nu = _request(stored_system, "allergies", 990.0)
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            replies = stored_system.sserver.handle_search_batch(
-                [req], 990.0, max_workers=4)
-        assert len(replies) == 1
-        assert unpack_fields(open_envelope(nu, replies[0], 990.0))
-
-    def test_multi_warns_and_still_serves(self, stored_system):
-        server = stored_system.sserver
-        patient = stored_system.patient
-        cid = patient.collection_ids[server.address]
-        pseudonym = patient.fresh_pseudonym()
-        nu = patient.session_key_with(server.identity_key.public, pseudonym)
-        envelope = seal(nu, "phi-retrieve",
-                        pack_fields(patient.trapdoor("allergies").to_bytes()),
-                        991.0)
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            reply = server.handle_search_multi(pseudonym.public, [cid],
-                                               envelope, 991.0,
-                                               max_workers=2)
-        assert unpack_fields(open_envelope(nu, reply, 991.0))
-
-    def test_silent_when_not_passed(self, stored_system):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert stored_system.sserver.handle_search_batch([], 992.0) == []
 
 
 class TestSearchMulti:
