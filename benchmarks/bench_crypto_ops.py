@@ -179,7 +179,7 @@ def test_prepared_pairing_ss512(benchmark):
 
 
 def test_ibs_batch_verify_ss512(benchmark):
-    """8 Hess signatures through the randomized single-final-exp batch."""
+    """8 Hess signatures through ``batch_verify`` (a serial verify loop)."""
     rng = HmacDrbg(b"bench-ibs-batch")
     pkg = PrivateKeyGenerator(SS512, rng)
     items = []

@@ -1,15 +1,15 @@
 """Standalone before/after benchmark for the hot-path accelerations.
 
-Measures the naive and accelerated variants of the four optimisation
-targets side by side and appends a run entry to a trajectory JSON file
-(default ``BENCH_crypto.json`` at the repo root):
+Measures the naive and accelerated variants of the optimisation targets
+side by side and appends a run entry to a trajectory JSON file (default
+``BENCH_crypto.json`` at the repo root):
 
 1. fixed-base scalar multiplication — generic NAF ``Point.__mul__`` vs the
    windowed :class:`~repro.crypto.precompute.PrecomputedPoint` tables,
 2. fixed-first-argument pairing — full ``tate_pairing`` Miller loop vs
    :class:`~repro.crypto.pairing.PreparedPairing` replay,
-3. Hess IBS verification — per-signature ``verify`` vs the randomized
-   single-final-exponentiation ``batch_verify`` (n = 8),
+3. the multi-keyword PEKS scan — serial vs the crypto engine's worker
+   pool at 1/2/4 workers,
 4. index deserialization — cold ``SecureIndex.from_bytes`` vs cached.
 
 Usage::
@@ -32,9 +32,8 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.crypto.engine import CryptoEngine
+from repro.crypto import engine as engine_mod
 from repro.crypto.fpbackend import active_backend
-from repro.crypto.ibs import batch_verify, sign, verify
 from repro.crypto.ibe import PrivateKeyGenerator
 from repro.crypto.pairing import (PreparedPairing, clear_pairing_cache,
                                   tate_pairing)
@@ -45,7 +44,6 @@ from repro.crypto.rng import HmacDrbg
 from repro.sse.index import SecureIndex, clear_index_cache, load_index_cached
 from repro.sse.scheme import Sse1Scheme, keygen
 
-IBS_BATCH = 8
 ENGINE_BATCH = 16
 ENGINE_WORKER_STEPS = (1, 2, 4)
 
@@ -102,47 +100,21 @@ def bench_prepared_pairing(params, iters: int) -> dict:
             "prepare_ms": build_s * 1e3, "speedup": naive_s / fast_s}
 
 
-def bench_ibs_batch(params, iters: int) -> dict:
-    rng = HmacDrbg(b"bench-runner-ibs")
-    pkg = PrivateKeyGenerator(params, rng)
-    items = []
-    for i in range(IBS_BATCH):
-        identity = "dr-%d" % i
-        key = pkg.extract(identity)
-        message = b"msg-%d" % i
-        items.append((identity, message, sign(params, key, message, rng)))
-
-    iters = max(1, iters // 4)  # each call is 8 verifications
-    naive_s = _time(lambda: all(verify(params, pkg.public_key, i, m, s)
-                                for i, m, s in items), iters)
-    fast_s = _time(lambda: batch_verify(params, pkg.public_key, items), iters)
-    assert batch_verify(params, pkg.public_key, items)
-    return {"batch_size": IBS_BATCH, "naive_ms": naive_s * 1e3,
-            "accelerated_ms": fast_s * 1e3, "speedup": naive_s / fast_s}
-
-
 def bench_engine_scaling(params, iters: int) -> dict:
     """Per-core scaling of the process-parallel crypto engine.
 
-    Runs IBS batch verification and multi-keyword PEKS search (the two
-    pairing-heaviest served batches) serially and through
-    :class:`~repro.crypto.engine.CryptoEngine` pools of 1/2/4 workers.
-    ``cpu_count`` is recorded alongside the timings: process pools scale
-    with *cores*, so a 4-worker speedup is only meaningful relative to
-    the cores the box actually has (on a 1-core machine the pooled runs
-    measure pure IPC overhead, and the 1-worker engine — which never
-    forks — is the never-worse-than-serial guarantee).
+    Runs the multi-keyword PEKS scan (the S-server's MHI search, the one
+    batch the engine serves) serially and under a process default engine
+    of 1/2/4 workers installed with
+    :func:`~repro.crypto.engine.configure`.  ``cpu_count`` is recorded
+    alongside the timings: process pools scale with *cores*, so a
+    4-worker speedup is only meaningful relative to the cores the box
+    actually has (on a 1-core machine the pooled runs measure pure IPC
+    overhead, and a 1-worker default is the serial path itself).
     """
     rng = HmacDrbg(b"bench-runner-engine")
     pkg = PrivateKeyGenerator(params, rng)
     iters = max(2, iters // 4)
-
-    sigs = []
-    for i in range(ENGINE_BATCH):
-        identity = "dr-%d" % i
-        key = pkg.extract(identity)
-        message = b"msg-%d" % i
-        sigs.append((identity, message, sign(params, key, message, rng)))
 
     role = "2026|ER|bench"
     role_key = pkg.extract(role)
@@ -151,29 +123,27 @@ def bench_engine_scaling(params, iters: int) -> dict:
             for i in range(ENGINE_BATCH)]
     trapdoor = MultiKeywordPeks.trapdoor(role_key.private, params, "common")
 
-    def measure(make_call):
-        serial_s = _time(make_call(None), iters)
-        per_worker = {}
+    def scan():
+        return MultiKeywordPeks.test_batch(tags, trapdoor)
+
+    per_worker = {}
+    try:
+        engine_mod.configure(0)
+        serial_s = _time(scan, iters)
         for workers in ENGINE_WORKER_STEPS:
-            with CryptoEngine(workers, prepare_points=(params.generator,
-                                                       pkg.public_key),
-                              min_parallel=2) as engine:
-                engine.start()  # pay fork + warm-up outside the timer
-                pooled_s = _time(make_call(engine), iters)
+            engine = engine_mod.configure(workers)
+            if engine is not None:
+                engine.start()  # pay the fork outside the timer
+            pooled_s = _time(scan, iters)
             per_worker[str(workers)] = {"ms": pooled_s * 1e3,
                                         "speedup": serial_s / pooled_s}
-        return {"batch_size": ENGINE_BATCH, "serial_ms": serial_s * 1e3,
-                "workers": per_worker}
-
-    out = {"cpu_count": os.cpu_count(),
-           "fp_backend": active_backend().name}
-    out["ibs_batch_verify"] = measure(
-        lambda eng: lambda: batch_verify(params, pkg.public_key, sigs,
-                                         engine=eng))
-    out["multi_keyword_search"] = measure(
-        lambda eng: lambda: MultiKeywordPeks.test_batch(tags, trapdoor,
-                                                        engine=eng))
-    return out
+    finally:
+        engine_mod.configure(0)
+    return {"cpu_count": os.cpu_count(),
+            "fp_backend": active_backend().name,
+            "multi_keyword_search": {"batch_size": ENGINE_BATCH,
+                                     "serial_ms": serial_s * 1e3,
+                                     "workers": per_worker}}
 
 
 def bench_index_cache(iters: int) -> dict:
@@ -216,22 +186,15 @@ def main() -> None:
           % (results["prepared_pairing"]["naive_ms"],
              results["prepared_pairing"]["accelerated_ms"],
              results["prepared_pairing"]["speedup"]))
-    print("== IBS batch verification (%s, n=%d) ==" % (args.params, IBS_BATCH))
-    results["ibs_batch_verify"] = bench_ibs_batch(params, args.iters)
-    print("   serial %.3f ms  batched %.3f ms  speedup %.2fx"
-          % (results["ibs_batch_verify"]["naive_ms"],
-             results["ibs_batch_verify"]["accelerated_ms"],
-             results["ibs_batch_verify"]["speedup"]))
     print("== engine per-core scaling (%s, n=%d, %s cores) =="
           % (args.params, ENGINE_BATCH, os.cpu_count()))
     results["engine_scaling"] = bench_engine_scaling(params, args.iters)
-    for section in ("ibs_batch_verify", "multi_keyword_search"):
-        line = "   %-20s serial %.3f ms" % (
-            section, results["engine_scaling"][section]["serial_ms"])
-        for workers in ENGINE_WORKER_STEPS:
-            entry = results["engine_scaling"][section]["workers"][str(workers)]
-            line += "  %dw %.2fx" % (workers, entry["speedup"])
-        print(line)
+    scaling = results["engine_scaling"]["multi_keyword_search"]
+    line = "   multi_keyword_search serial %.3f ms" % scaling["serial_ms"]
+    for workers in ENGINE_WORKER_STEPS:
+        line += "  %dw %.2fx" % (workers,
+                                 scaling["workers"][str(workers)]["speedup"])
+    print(line)
     print("== index deserialization cache ==")
     results["index_cache"] = bench_index_cache(args.iters)
     print("   cold %.3f ms  cached %.4f ms  speedup %.0fx"

@@ -82,8 +82,8 @@ CONTRACTS = (
     Contract(prefix="repro.crypto.engine",
              allowed=("repro.crypto", "repro.exceptions"),
              why="the worker-pool engine stays bottom-layer: stdlib "
-                 "multiprocessing is fine, but tasks are resolved from "
-                 "dotted 'module:function' specs at run time so the "
+                 "multiprocessing is fine, and its tasks are module-level "
+                 "functions that pickle sends by reference, so the "
                  "engine never imports sse/core/protocol modules"),
     Contract(prefix="repro.sse",
              allowed=("repro.sse", "repro.crypto", "repro.exceptions"),
@@ -127,8 +127,8 @@ CONTRACTS = (
              frames_only=True,
              why="protocols speak only wire frames through a transport "
                  "(PR 2 dispatch boundary); the crypto engine is reached "
-                 "only through engine= keywords on served surfaces, "
-                 "never pooled directly from a protocol flow"),
+                 "only through the process default inside the PEKS batch "
+                 "tests, never pooled directly from a protocol flow"),
 )
 
 

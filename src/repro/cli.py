@@ -425,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "is down (circuit-breaker routed) instead "
                              "of failing outright")
     common.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="crypto worker processes for the batched "
-                             "pairing paths (batch verify, PEKS tests); "
+                        help="crypto worker processes for the S-server's "
+                             "PEKS scan over stored MHI windows; "
                              "0 or 1 = serial.  Overrides "
                              "HCPP_CRYPTO_WORKERS for this run")
     parser = argparse.ArgumentParser(
@@ -470,8 +470,8 @@ def main(argv: list[str] | None = None) -> int:
     workers = getattr(args, "workers", 0) or 0
     if not workers:
         return args.func(args)
-    # Install the process-wide default engine: every engine-aware hot
-    # path (batch verify, PEKS tests) picks it up without plumbing.
+    # Install the process-wide default engine: the PEKS batch tests
+    # behind the MHI search pick it up without plumbing.
     from repro.crypto.engine import configure
     configure(workers)
     try:

@@ -30,8 +30,8 @@ from repro.core import wire
 from repro.core.aserver import StateAServer
 from repro.core.entities import AssignPackage, PDevice, _PrivilegedEntity
 from repro.core.protocols.messages import (Envelope, ReplayGuard,
-                                           open_envelope, pack_fields,
-                                           unpack_fields)
+                                           decode_utf8, open_envelope,
+                                           pack_fields, unpack_fields)
 from repro.core.router import RouterEndpoint
 from repro.core.sserver import (SearchRequest, StorageServer,
                                 _deserialize_broadcast)
@@ -50,14 +50,6 @@ def _parse_epoch(epoch_b: bytes) -> int:
         raise ParameterError("federation epoch must be 8 bytes, got %d"
                              % len(epoch_b))
     return int.from_bytes(epoch_b, "big")
-
-
-def _role_identity(role_b: bytes) -> str:
-    """The UTF-8 role identity an MHI frame names."""
-    try:
-        return role_b.decode()
-    except UnicodeDecodeError:
-        raise ParameterError("role identity is not UTF-8") from None
 
 
 def _pack_guard(guard: ReplayGuard) -> bytes:
@@ -384,7 +376,7 @@ class SServerEndpoint(Endpoint):
             raise IntegrityError("MHI ciphertext/tag digest mismatch")
         self.server.handle_mhi_store(
             Point.from_bytes(pseud_b, self._curve), envelope,
-            _role_identity(role_b),
+            decode_utf8(role_b, "role identity"),
             IbeCiphertext.from_bytes(ct_b, self._curve),
             MultiKeywordTag.from_bytes(tag_b, self._curve), self.now)
         return b""
@@ -392,7 +384,7 @@ class SServerEndpoint(Endpoint):
     def _op_mhi_search(self, fields: list[bytes]) -> bytes:
         role_b, env_b, trapdoor_b, pkg_public_b = self._expect(fields, 4)
         reply, _matches = self.server.handle_mhi_search(
-            _role_identity(role_b), Envelope.from_bytes(env_b),
+            decode_utf8(role_b, "role identity"), Envelope.from_bytes(env_b),
             PeksTrapdoor.from_bytes(trapdoor_b, self._curve),
             Point.from_bytes(pkg_public_b, self._curve), self.now)
         return reply.to_bytes()
@@ -404,7 +396,8 @@ class SServerEndpoint(Endpoint):
             raise AuthenticationError(
                 "this S-server holds no HIBC credential")
         tuple_b, ct_b, sig_b = self._expect(fields, 3)
-        patient_tuple = tuple(tuple_b.decode().split("\x1f"))
+        patient_tuple = tuple(
+            decode_utf8(tuple_b, "identity tuple").split("\x1f"))
         ciphertext = HibeCiphertext.from_bytes(ct_b, self._curve)
         handshake = crossdomain.CrossDomainHandshake(
             patient_tuple=patient_tuple, ciphertext=ciphertext,
@@ -474,9 +467,10 @@ class AServerEndpoint(Endpoint):
 
     def _op_register(self, fields: list[bytes]) -> bytes:
         pseud_b, address_b = self._expect(fields, 2)
+        address = decode_utf8(address_b, "P-device address")
         self.aserver.register_pdevice(
             Point.from_bytes(pseud_b, self.aserver.params.curve))
-        self._pdevice_addresses[pseud_b] = address_b.decode()
+        self._pdevice_addresses[pseud_b] = address
         return b""
 
     def _op_emergency_auth(self, fields: list[bytes]) -> bytes:
@@ -485,7 +479,8 @@ class AServerEndpoint(Endpoint):
             raise ReplayError("duplicate emergency-auth request")
         curve = self.aserver.params.curve
         issue = self.aserver.authenticate_emergency(
-            pid_b.decode(), request, wire.ts_from_bytes(t_req_b),
+            decode_utf8(pid_b, "physician id"), request,
+            wire.ts_from_bytes(t_req_b),
             IbsSignature.from_bytes(sig_b, curve),
             Point.from_bytes(pd_b, curve), self.now)
         # Step 3 rides to the registered P-device "simultaneously" with
@@ -515,7 +510,9 @@ class AServerEndpoint(Endpoint):
 
     def _op_role_key(self, fields: list[bytes]) -> bytes:
         pid_b, role_b = self._expect(fields, 2)
-        return self.aserver.seal_role_key(pid_b.decode(), role_b.decode())
+        return self.aserver.seal_role_key(
+            decode_utf8(pid_b, "physician id"),
+            decode_utf8(role_b, "role identity"))
 
 
 class EntityEndpoint(Endpoint):
@@ -577,7 +574,7 @@ class EntityEndpoint(Endpoint):
             IbeCiphertext.from_bytes(ct_b, self.params.curve))
         pid_b, nounce, _t11 = unpack_fields(plaintext, expected=3)
         self.entity.receive_passcode(
-            pid_b.decode(), nounce,
+            decode_utf8(pid_b, "physician id"), nounce,
             t_issue=wire.ts_from_bytes(t_issue_b),
             signature=IbsSignature.from_bytes(sig_b, self.params.curve))
         return b""
@@ -585,26 +582,18 @@ class EntityEndpoint(Endpoint):
 
 # -- binding helpers ---------------------------------------------------------
 def bind_sserver(transport, server: StorageServer, hibc_node=None,
-                 root_public: Point | None = None, engine=None,
+                 root_public: Point | None = None,
                  federation_key: bytes | None = None):
     """Ensure an :class:`SServerEndpoint` serves ``server.address``.
 
     When the transport already routes the address to another process
     (static socket routes), nothing is bound locally and None returns.
 
-    ``engine`` (a :class:`repro.crypto.engine.CryptoEngine`) installs a
-    process-parallel crypto pool on the served S-server; the MHI search
-    then fans its PEKS tests across its workers.
-    Passing None leaves the server's existing engine (or the
-    ``HCPP_CRYPTO_WORKERS`` process default) in force.
-
     ``federation_key`` marks the server as a federation shard: the
     internal OP_SEARCH_SHARD/OP_SEARCH_MERGE legs are accepted when
     their tags verify under it (None — the default — rejects them all).
     """
     endpoint = transport.endpoint_at(server.address)
-    if engine is not None:
-        server.engine = engine
     if endpoint is None:
         if transport.has_route(server.address):
             return None

@@ -68,6 +68,14 @@ def unpack_fields(payload: bytes, expected: int | None = None) -> list[bytes]:
     return fields
 
 
+def decode_utf8(raw: bytes, what: str) -> str:
+    """A peer-sent text field; non-UTF-8 bytes are a typed error."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise ParameterError("%s is not UTF-8" % what) from None
+
+
 @dataclass(frozen=True)
 class Envelope:
     """payload ‖ t ‖ HMAC_key(payload ‖ t) — one HCPP wire message."""
@@ -99,7 +107,8 @@ class Envelope:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
         label, payload, ts, tag = unpack_fields(data, expected=4)
-        return cls(label=label.decode(), payload=payload,
+        return cls(label=decode_utf8(label, "envelope label"),
+                   payload=payload,
                    timestamp=int.from_bytes(ts, "big") / 1000.0, tag=tag)
 
 

@@ -28,7 +28,6 @@ import hashlib
 import threading
 from dataclasses import dataclass, field, replace
 
-from repro.crypto import engine as engine_mod
 from repro.crypto.broadcast import BroadcastCiphertext
 from repro.crypto.ec import Point
 from repro.crypto.ibe import IbeCiphertext, IdentityKeyPair
@@ -137,18 +136,12 @@ class StorageServer:
     """An HCPP S-server instance."""
 
     def __init__(self, name: str, params: DomainParams,
-                 identity_key: IdentityKeyPair, rng: HmacDrbg,
-                 engine: "engine_mod.CryptoEngine | None" = None) -> None:
+                 identity_key: IdentityKeyPair, rng: HmacDrbg) -> None:
         self.name = name
         self.address = "sserver://" + name
         self.params = params
         self.identity_key = identity_key         # (PK_S, Γ_S)
         self._rng = rng
-        #: Process-parallel crypto engine for the MHI PEKS batch test.
-        #: None falls back to the HCPP_CRYPTO_WORKERS default at call time
-        #: (see repro.crypto.engine.resolve); results are byte-identical
-        #: either way.
-        self.engine = engine
         self._collections: dict[bytes, StoredCollection] = {}
         self._mhi: list[StoredMhi] = []
         self._guard = ReplayGuard()
@@ -443,10 +436,10 @@ class StorageServer:
         candidates = [entry for entry in self._mhi
                       if entry.role_identity == role_identity]
         # One pairing per stored tag: the batch test fans out across the
-        # crypto engine's workers when one is configured, serial otherwise
-        # — the match set is identical either way.
+        # process default crypto engine's workers when one is configured,
+        # serial otherwise — the match set is identical either way.
         flags = MultiKeywordPeks.test_batch([e.tag for e in candidates],
-                                            trapdoor, engine=self.engine)
+                                            trapdoor)
         matches = [entry.ciphertext
                    for entry, hit in zip(candidates, flags) if hit]
         self._observe("mhi-search", role_public.to_bytes(), b"",

@@ -183,25 +183,18 @@ class RolePeks:
 
     def test(self, tag: PeksTag, trapdoor: PeksTrapdoor) -> bool:
         """S-server-side: H3(ê(TD, A)) == B."""
-        value = prepared(trapdoor.point).pair(tag.A)
-        return constant_time_equal(
-            h3_pairing_to_bytes(value, _TOKEN_BYTES), tag.B)
+        return _role_test_task((trapdoor, tag))
 
     @staticmethod
-    def test_batch(tags: "list[PeksTag]", trapdoor: PeksTrapdoor,
-                   engine: "engine_mod.CryptoEngine | None" = None
-                   ) -> list[bool]:
+    def test_batch(tags: "list[PeksTag]",
+                   trapdoor: PeksTrapdoor) -> list[bool]:
         """``[test(tag, trapdoor) for tag in tags]`` — engine-parallel.
 
-        One pairing per tag is the whole cost; with an engine the tags
-        fan out across worker processes (each worker prepares the
-        trapdoor's Miller loop once via its registry).
+        One pairing per tag is the whole cost; with a default engine
+        configured the tags fan out across worker processes (each worker
+        prepares the trapdoor's Miller loop once via its registry).
         """
-        items = [(trapdoor, tag) for tag in tags]
-        eng = engine_mod.resolve(engine)
-        if eng is not None:
-            return eng.map(_ROLE_TEST_SPEC, items)
-        return [_role_test_task(item) for item in items]
+        return _map(_role_test_task, trapdoor, tags)
 
 
 @dataclass(frozen=True)
@@ -272,25 +265,18 @@ class MultiKeywordPeks:
 
     def test(self, tag: MultiKeywordTag, trapdoor: PeksTrapdoor) -> bool:
         """True when the trapdoor keyword matches *any* keyword in the tag."""
-        token = h3_pairing_to_bytes(prepared(trapdoor.point).pair(tag.A),
-                                    _TOKEN_BYTES)
-        return token in tag.tokens
+        return _multi_test_task((trapdoor, tag))
 
     @staticmethod
-    def test_batch(tags: "list[MultiKeywordTag]", trapdoor: PeksTrapdoor,
-                   engine: "engine_mod.CryptoEngine | None" = None
-                   ) -> list[bool]:
+    def test_batch(tags: "list[MultiKeywordTag]",
+                   trapdoor: PeksTrapdoor) -> list[bool]:
         """``[test(tag, trapdoor) for tag in tags]`` — engine-parallel.
 
         The S-server's MHI scan tests one trapdoor against every stored
         tag; each test is one pairing, so the batch is embarrassingly
         parallel and byte-identical to the serial loop.
         """
-        items = [(trapdoor, tag) for tag in tags]
-        eng = engine_mod.resolve(engine)
-        if eng is not None:
-            return eng.map(_MULTI_TEST_SPEC, items)
-        return [_multi_test_task(item) for item in items]
+        return _map(_multi_test_task, trapdoor, tags)
 
     def test_all(self, tag: MultiKeywordTag,
                  trapdoors: list[PeksTrapdoor]) -> bool:
@@ -300,11 +286,17 @@ class MultiKeywordPeks:
 
 # ---------------------------------------------------------------------------
 # Engine task functions: module-level, pure functions of their (picklable)
-# item tuples, addressed by dotted spec so the engine never imports upward.
+# item tuples; pickle sends them by reference, so the engine never
+# imports upward.
 # ---------------------------------------------------------------------------
 
-_ROLE_TEST_SPEC = "repro.crypto.peks:_role_test_task"
-_MULTI_TEST_SPEC = "repro.crypto.peks:_multi_test_task"
+def _map(task, trapdoor: PeksTrapdoor, tags: list) -> list[bool]:
+    """Run ``task`` over ``(trapdoor, tag)`` pairs, pooled when configured."""
+    items = [(trapdoor, tag) for tag in tags]
+    eng = engine_mod.default_engine()
+    if eng is not None:
+        return eng.map(task, items)
+    return [task(item) for item in items]
 
 
 def _role_test_task(item: "tuple[PeksTrapdoor, PeksTag]") -> bool:

@@ -115,8 +115,8 @@ def test_engine_may_import_crypto_and_stdlib(rule):
 
 
 def test_engine_may_not_import_upward(rule):
-    # The whole point of dotted task specs: the pool never imports the
-    # layers whose work it runs.
+    # Tasks travel as pickled function references: the pool never
+    # imports the layers whose work it runs.
     for upward in ("from repro.sse.index import SecureIndex\n",
                    "from repro.core.sserver import StorageServer\n"):
         findings = analyze_source(upward, rule,
@@ -138,8 +138,8 @@ def test_protocols_may_not_pool_directly(rule):
 
 
 def test_sserver_may_import_the_engine(rule):
-    # Served surfaces hold the engine= keyword; repro.core (outside the
-    # protocols subpackage) carries no forbidden-engine clause.
+    # repro.core (outside the protocols subpackage) carries no
+    # forbidden-engine clause.
     assert not analyze_source(
         "from repro.crypto import engine as engine_mod\n", rule,
         path="src/repro/core/sserver.py")

@@ -1,10 +1,10 @@
 """Process-parallel crypto engine: pooled results == serial results.
 
-The engine's contract is *bit-identical outputs*: every engine-routed
-path (batch verify, PEKS test, key extraction, HIBC derivation) must
-return exactly what the serial loop returns, in the same order, raising
-the same first error.  The pool itself is exercised with 2 workers —
-correctness does not depend on core count.
+The engine's contract is *bit-identical outputs*: the one engine-routed
+path — the PEKS ``test_batch`` scan behind the S-server's MHI search —
+must return exactly what the serial loop returns, in the same order,
+raising the same first error.  The pool itself is exercised with 2
+workers — correctness does not depend on core count.
 """
 
 from __future__ import annotations
@@ -14,200 +14,136 @@ import os
 import pytest
 
 from repro.crypto import engine as engine_mod
-from repro.crypto import ibs
-from repro.crypto.engine import CryptoEngine
+from repro.crypto.engine import MIN_PARALLEL, CryptoEngine
 from repro.crypto.ibe import PrivateKeyGenerator
 from repro.crypto.params import test_params as _test_params
-from repro.crypto.peks import MultiKeywordPeks, RolePeks
+from repro.crypto.peks import (MultiKeywordPeks, RolePeks,
+                               _multi_test_task)
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import ParameterError
 
 PARAMS = _test_params()
 PKG = PrivateKeyGenerator(PARAMS, HmacDrbg(b"engine-pkg"))
+ROLE = "2026-08-07|ER|boston"
+ROLE_KEY = PKG.extract(ROLE)
+MULTI = MultiKeywordPeks(PARAMS, PKG.public_key)
+TAGS = [MULTI.tag(ROLE, ["kw-%d" % i, "shared"], HmacDrbg(b"tag-%d" % i))
+        for i in range(8)]
+TRAPDOOR = MultiKeywordPeks.trapdoor(ROLE_KEY.private, PARAMS, "kw-2")
+
+
+def _items(count):
+    return [(TRAPDOOR, tag) for tag in TAGS[:count]]
+
+
+def _serial(items):
+    return [_multi_test_task(item) for item in items]
 
 
 @pytest.fixture(scope="module")
 def pool_engine():
     """One 2-worker pool shared by the module (fork is cheap, not free)."""
-    engine = CryptoEngine(2, prepare_points=(PARAMS.generator,
-                                             PKG.public_key),
-                          min_parallel=2)
+    engine = CryptoEngine(2)
     yield engine
     engine.close()
 
 
-def _signed_items(count, tamper=()):
-    rng = HmacDrbg(b"engine-items")
-    items = []
-    for i in range(count):
-        identity = "physician-%d" % i
-        key = PKG.extract(identity)
-        message = b"record-%d" % i
-        sig = ibs.sign(PARAMS, key, message, rng)
-        if i in tamper:
-            message = message + b"!"
-        items.append((identity, message, sig))
-    return items
+@pytest.fixture()
+def default_pool():
+    """A 2-worker process default, then the env-configured one back."""
+    installed = engine_mod.configure(2)
+    yield installed
+    engine_mod.configure(0)
+    # Hand the rest of the suite back to the env-configured default
+    # (matters for the HCPP_CRYPTO_WORKERS=2 CI leg).
+    engine_mod._default_resolved = False  # noqa: SLF001
 
 
 # -- map semantics ---------------------------------------------------------
 
 def test_map_results_in_item_order(pool_engine):
-    ids = ["id-%d" % i for i in range(7)]
-    items = [(PARAMS, PKG.master_secret, ident) for ident in ids]
-    pooled = pool_engine.map("repro.crypto.ibe:_extract_task", items)
-    assert [k.identity for k in pooled] == ids
-    assert pooled == [PKG.extract(ident) for ident in ids]
+    items = _items(7)
+    pooled = pool_engine.map(_multi_test_task, items)
+    assert pool_engine._pool is not None  # noqa: SLF001 - really pooled
+    assert pooled == _serial(items)
+    assert pooled == [i == 2 for i in range(7)]
 
 
 def test_map_empty_batch(pool_engine):
-    assert pool_engine.map("repro.crypto.ibe:_extract_task", []) == []
+    assert pool_engine.map(_multi_test_task, []) == []
 
 
 def test_small_batch_runs_inline():
-    # min_parallel=4: a 2-item batch must never start the pool.
-    engine = CryptoEngine(4, min_parallel=4)
-    items = [(PARAMS, PKG.master_secret, "a"), (PARAMS, PKG.master_secret, "b")]
-    result = engine.map("repro.crypto.ibe:_extract_task", items)
+    # Below MIN_PARALLEL a batch must never start the pool.
+    engine = CryptoEngine(4)
+    items = _items(MIN_PARALLEL - 1)
+    result = engine.map(_multi_test_task, items)
     assert engine._pool is None  # noqa: SLF001 - asserting laziness
-    assert [k.identity for k in result] == ["a", "b"]
+    assert result == _serial(items)
     engine.close()
 
 
 def test_one_worker_engine_never_forks():
-    engine = CryptoEngine(1, min_parallel=1)
-    items = [(PARAMS, PKG.master_secret, "x%d" % i) for i in range(6)]
-    assert engine.map("repro.crypto.ibe:_extract_task", items) \
-        == PKG.extract_batch(["x%d" % i for i in range(6)])
+    engine = CryptoEngine(1)
+    items = _items(6)
+    assert engine.map(_multi_test_task, items) == _serial(items)
     assert engine.start() is None
     engine.close()
 
 
 def test_first_error_in_item_order(pool_engine):
     # Items 2 and 5 are malformed; the serial loop would raise on 2.
-    items = []
-    for i in range(8):
-        if i in (2, 5):
-            items.append(i)  # not a tuple: the task raises TypeError
-        else:
-            items.append((PARAMS, PKG.master_secret, "ok-%d" % i))
+    items = _items(8)
+    items[2] = 2      # not a pair: unpacking raises TypeError
+    items[5] = (TRAPDOOR,)  # too short: unpacking raises ValueError
     with pytest.raises(TypeError):
-        pool_engine.map("repro.crypto.ibe:_extract_task", items)
-
-
-def test_bad_spec_rejected(pool_engine):
-    with pytest.raises(ParameterError):
-        pool_engine.map("no-colon-here", [1, 2, 3, 4])
-    with pytest.raises(ParameterError):
-        pool_engine.map("repro.crypto.ibe:not_a_function", [1, 2, 3, 4])
+        pool_engine.map(_multi_test_task, items)
 
 
 def test_engine_restart_after_close():
-    engine = CryptoEngine(2, min_parallel=2)
-    items = [(PARAMS, PKG.master_secret, "r%d" % i) for i in range(4)]
-    first = engine.map("repro.crypto.ibe:_extract_task", items)
+    engine = CryptoEngine(2)
+    items = _items(MIN_PARALLEL)
+    first = engine.map(_multi_test_task, items)
     engine.close()
-    second = engine.map("repro.crypto.ibe:_extract_task", items)
+    second = engine.map(_multi_test_task, items)
     engine.close()
-    assert first == second
+    assert first == second == _serial(items)
 
 
 def test_invalid_configuration():
     with pytest.raises(ParameterError):
         CryptoEngine(-1)
-    with pytest.raises(ParameterError):
-        CryptoEngine(2, min_parallel=0)
-    with pytest.raises(ParameterError):
-        CryptoEngine(2, chunks_per_worker=0)
 
 
-# -- engine-routed protocol paths ------------------------------------------
+# -- the engine-routed PEKS scans ---------------------------------------------
 
-def test_batch_verify_engine_matches_serial(pool_engine):
-    items = _signed_items(6)
-    assert ibs.batch_verify(PARAMS, PKG.public_key, items) is True
-    assert ibs.batch_verify(PARAMS, PKG.public_key, items,
-                            engine=pool_engine) is True
-
-
-def test_batch_verify_engine_rejects_tampered(pool_engine):
-    items = _signed_items(6, tamper={3})
-    assert ibs.batch_verify(PARAMS, PKG.public_key, items) is False
-    assert ibs.batch_verify(PARAMS, PKG.public_key, items,
-                            engine=pool_engine) is False
+def test_peks_test_batch_matches_serial(default_pool):
+    serial = [MULTI.test(tag, TRAPDOOR) for tag in TAGS]
+    assert serial == [i == 2 for i in range(8)]
+    assert MultiKeywordPeks.test_batch(TAGS, TRAPDOOR) == serial
+    assert default_pool._pool is not None  # noqa: SLF001 - really pooled
+    shared_td = MultiKeywordPeks.trapdoor(ROLE_KEY.private, PARAMS, "shared")
+    assert MultiKeywordPeks.test_batch(TAGS, shared_td) == [True] * 8
 
 
-def test_batch_verify_engine_without_hints(pool_engine):
-    # Deserialized signatures carry no r_value: the recomputation path.
-    items = [(ident, msg,
-              ibs.IbsSignature.from_bytes(sig.to_bytes(), PARAMS.curve))
-             for ident, msg, sig in _signed_items(5)]
-    assert ibs.batch_verify(PARAMS, PKG.public_key, items) is True
-    assert ibs.batch_verify(PARAMS, PKG.public_key, items,
-                            engine=pool_engine) is True
-
-
-def test_peks_test_batch_matches_serial(pool_engine):
-    rng = HmacDrbg(b"peks-batch")
-    peks = MultiKeywordPeks(PARAMS, PKG.public_key)
-    role = "2026-08-07|ER|boston"
-    role_key = PKG.extract(role)
-    tags = [peks.tag(role, ["kw-%d" % i, "shared"], rng) for i in range(6)]
-    trapdoor = MultiKeywordPeks.trapdoor(role_key.private, PARAMS, "kw-2")
-    serial = [peks.test(tag, trapdoor) for tag in tags]
-    assert serial == [i == 2 for i in range(6)]
-    assert MultiKeywordPeks.test_batch(tags, trapdoor,
-                                       engine=pool_engine) == serial
-    shared_td = MultiKeywordPeks.trapdoor(role_key.private, PARAMS, "shared")
-    assert MultiKeywordPeks.test_batch(tags, shared_td,
-                                       engine=pool_engine) == [True] * 6
-
-
-def test_role_peks_test_batch_matches_serial(pool_engine):
+def test_role_peks_test_batch_matches_serial(default_pool):
     rng = HmacDrbg(b"role-batch")
     peks = RolePeks(PARAMS, PKG.public_key)
-    role = "2026-08-07|ICU|boston"
-    role_key = PKG.extract(role)
-    tags = [peks.tag(role, "kw-%d" % i, rng) for i in range(5)]
-    trapdoor = RolePeks.trapdoor(role_key.private, PARAMS, "kw-1")
+    tags = [peks.tag(ROLE, "kw-%d" % i, rng) for i in range(5)]
+    trapdoor = RolePeks.trapdoor(ROLE_KEY.private, PARAMS, "kw-1")
     serial = [peks.test(tag, trapdoor) for tag in tags]
-    assert RolePeks.test_batch(tags, trapdoor, engine=pool_engine) == serial
-
-
-def test_extract_batch_matches_serial(pool_engine):
-    ids = ["nurse-%d" % i for i in range(6)]
-    assert PKG.extract_batch(ids, engine=pool_engine) \
-        == [PKG.extract(ident) for ident in ids]
-
-
-def test_hibc_extract_children_matches_serial(pool_engine):
-    from repro.crypto.hibc import HibcRoot
-    root = HibcRoot(PARAMS, HmacDrbg(b"hibc-root"))
-    state = root.extract_child("MA", HmacDrbg(b"hibc-state"))
-    ids = ["hospital-%d" % i for i in range(5)]
-    # Two identical rng streams: the batch must consume randomness in the
-    # exact order the serial loop does, so the nodes come out equal.
-    rng_a, rng_b = HmacDrbg(b"kids-stream"), HmacDrbg(b"kids-stream")
-    serial = [state.extract_child(ident, rng_a) for ident in ids]
-    batch = state.extract_children(ids, rng_b, engine=pool_engine)
-    assert batch == serial
+    assert serial == [i == 1 for i in range(5)]
+    assert RolePeks.test_batch(tags, trapdoor) == serial
+    assert default_pool._pool is not None  # noqa: SLF001 - really pooled
 
 
 # -- default-engine plumbing ------------------------------------------------
 
-def test_configure_and_resolve():
-    assert engine_mod.resolve(None) is engine_mod.default_engine()
-    installed = engine_mod.configure(2, min_parallel=64)
-    try:
-        assert engine_mod.resolve(None) is installed
-        explicit = CryptoEngine(1)
-        assert engine_mod.resolve(explicit) is explicit
-    finally:
-        assert engine_mod.configure(0) is None
-        assert engine_mod.resolve(None) is None
-        # Hand the rest of the suite back to the env-configured default
-        # (matters for the HCPP_CRYPTO_WORKERS=2 CI leg).
-        engine_mod._default_resolved = False  # noqa: SLF001
+def test_configure_and_default_engine(default_pool):
+    assert default_pool is not None and default_pool.workers == 2
+    assert engine_mod.default_engine() is default_pool
+    assert engine_mod.configure(1) is None
+    assert engine_mod.default_engine() is None
 
 
 def test_env_default_disabled_for_zero_or_unset():
