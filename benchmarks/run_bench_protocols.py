@@ -318,9 +318,9 @@ def bench_throughput(duration_s: float,
 def bench_durability(iters: int) -> dict:
     """What does the write-ahead journal cost?
 
-    Two figures: raw 1 KiB journal appends per fsync policy (μs each),
-    and the full storage protocol with all three surfaces served
-    durably versus plain in-memory endpoints on the same carrier.
+    Two figures: raw 1 KiB journal appends, each fsynced (μs each), and
+    the full storage protocol with all three surfaces served durably
+    versus plain in-memory endpoints on the same carrier.
     """
     import tempfile
     from repro.store import (DurableStore, JournalWriter,
@@ -329,18 +329,14 @@ def bench_durability(iters: int) -> dict:
     from repro.store.journal import K_FRAME
 
     payload, appends = b"x" * 1024, 256
-    append_us = {}
-    for policy in ("always", "batch", "os"):
-        with tempfile.TemporaryDirectory() as tmp:
-            writer = JournalWriter(Path(tmp) / "bench.journal",
-                                   fsync_policy=policy)
-            t0 = time.perf_counter()
-            for _ in range(appends):
-                writer.append(K_FRAME, payload)
-            writer.sync()
-            writer.close()
-            append_us[policy] = round(
-                (time.perf_counter() - t0) / appends * 1e6, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        writer = JournalWriter(Path(tmp) / "bench.journal")
+        t0 = time.perf_counter()
+        for _ in range(appends):
+            writer.append(K_FRAME, payload)
+        writer.close()
+        append_us = {"always": round(
+            (time.perf_counter() - t0) / appends * 1e6, 1)}
 
     def storage_ms(data_dir=None):
         samples = []

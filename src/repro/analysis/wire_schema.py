@@ -203,7 +203,7 @@ def _first_statement_opens_frame(handler: ast.FunctionDef) -> bool:
 @register
 class WireSchemaRule(Rule):
     id = "wire-schema"
-    version = 1
+    version = 2
     cross_file = True
     description = ("every registry opcode is dispatched with matching "
                    "operand arity, mutating opcodes take the write lock "
@@ -364,11 +364,26 @@ class WireSchemaRule(Rule):
         module = project.by_dotted(DURABLE_MODULE)
         if module is None:
             return []  # partial run (fixtures / subset targets)
+        # An append helper is a function that hands its first argument
+        # (after ``self``) to ``.append`` as the record kind.
+        appenders = {"append"}
+        for func in ast.walk(module.tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            params = [arg.arg for arg in func.args.args
+                      if arg.arg != "self"]
+            if params and any(
+                    isinstance(node, ast.Call)
+                    and terminal(node.func) == "append" and node.args
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id == params[0]
+                    for node in ast.walk(func)):
+                appenders.add(func.name)
         journals_frames = False
         keyed_on_mutating = False
         for node in ast.walk(module.tree):
             if (isinstance(node, ast.Call)
-                    and terminal(node.func) == "append"
+                    and terminal(node.func) in appenders
                     and node.args
                     and terminal(node.args[0]) == "K_FRAME"):
                 journals_frames = True

@@ -37,7 +37,7 @@ from repro.core.sserver import (SearchRequest, StorageServer,
                                 _deserialize_broadcast)
 from repro.exceptions import (AccessDenied, AuthenticationError,
                               IntegrityError, ParameterError, ReplayError,
-                              ReproError, TransportError)
+                              TransportError)
 
 __all__ = ["Endpoint", "SServerEndpoint", "AServerEndpoint",
            "EntityEndpoint", "RouterEndpoint", "bind_sserver",
@@ -123,9 +123,9 @@ class Endpoint:
                 with self._write_lock:
                     return wire.ok_response(handler(fields))
             return wire.ok_response(handler(fields))
-        except ReproError as exc:
-            return wire.error_response(exc)
-        except Exception as exc:  # defensive: never kill a server thread
+        except Exception as exc:  # never kill a server thread
+            # error_response sends a ReproError as itself and any other
+            # exception as an opaque TransportError.
             return wire.error_response(exc)
 
     @staticmethod

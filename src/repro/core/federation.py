@@ -410,8 +410,7 @@ def bind_federated_sserver(transport, server: StorageServer, n_shards: int,
                            data_dir: str | None = None,
                            snapshot_every: int = 0, fault_policy=None,
                            vnodes: int = DEFAULT_VNODES,
-                           allow_partial: bool = True,
-                           health_seed: int = 0) -> Federation:
+                           allow_partial: bool = True) -> Federation:
     """Serve ``server.address`` with an N-shard federation.
 
     With ``data_dir`` each shard binds durably (its own
@@ -472,8 +471,7 @@ def bind_federated_sserver(transport, server: StorageServer, n_shards: int,
     router = RouterEndpoint(server.address,
                             [shard.address for shard in shards],
                             vnodes=vnodes, federation_key=fed_key,
-                            allow_partial=allow_partial,
-                            health_seed=health_seed)
+                            allow_partial=allow_partial)
     if hibc_node is not None:
         router._hibc_node = hibc_node      # already applied per shard above
         router._root_public = root_public

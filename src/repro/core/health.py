@@ -7,87 +7,62 @@ health-gated routing (docs/architecture.md, "Shard lifecycle"):
   machine over *consecutive* failures.  Time never comes from the wall
   clock: the clock is injected (the router passes the transport's
   ``now``), so a simulated-time chaos run drives breaker transitions
-  deterministically.  The open→half-open reset timeout carries seeded
-  jitter so N breakers tripped by the same outage do not re-probe a
-  recovering shard in lockstep — and the jitter is derived from a
-  SHA-256 counter stream, not :mod:`random` (this module sits below the
-  transport layer, where the crypto-hygiene lint bans the stdlib RNG),
-  so a seeded run replays the exact same timeout schedule.
+  deterministically.
 * :class:`HealthTable` — one breaker per shard address plus a bounded
   latency sample window, from which the router derives the p99 delay
   budget after which a slow scatter leg is *hedged* (re-sent to the
   same shard, first answer wins).
 
 Like :mod:`repro.core.shard`, this module is importable from anywhere:
-stdlib plus :mod:`repro.exceptions` only (enforced by the hcpplint
-layering contract).
+stdlib only (enforced by the hcpplint layering contract).
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import deque
 
-from repro.exceptions import ParameterError
-
 __all__ = ["CircuitBreaker", "HealthTable",
-           "STATE_CLOSED", "STATE_OPEN", "STATE_HALF_OPEN"]
+           "STATE_CLOSED", "STATE_OPEN", "STATE_HALF_OPEN",
+           "FAILURE_THRESHOLD", "RESET_TIMEOUT_S", "WINDOW", "MIN_SAMPLES"]
 
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
 STATE_HALF_OPEN = "half-open"
 
-
-def _unit_draw(seed: int, name: bytes, counter: int) -> float:
-    """The ``counter``-th deterministic uniform draw in [0, 1).
-
-    A domain-separated SHA-256 counter stream: same (seed, name) →
-    same sequence in every process, under every ``PYTHONHASHSEED``.
-    """
-    digest = hashlib.sha256(
-        b"hcpp-health-jitter:%d:%s:%d" % (seed, name, counter)).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+#: Consecutive failures that trip a breaker open.
+FAILURE_THRESHOLD = 3
+#: Clock seconds an open breaker waits before admitting one probe.
+RESET_TIMEOUT_S = 1.0
+#: Scatter-leg latencies kept for the hedging budget.
+WINDOW = 128
+#: Latencies needed before the window's p99 is trusted.
+MIN_SAMPLES = 20
 
 
 class CircuitBreaker:
     """Consecutive-failure circuit breaker with an injected clock.
 
-    * **closed** — requests flow; ``failure_threshold`` consecutive
+    * **closed** — requests flow; :data:`FAILURE_THRESHOLD` consecutive
       failures trip the breaker open.
-    * **open** — :meth:`allow` refuses until the jittered reset timeout
+    * **open** — :meth:`allow` refuses until :data:`RESET_TIMEOUT_S`
       has elapsed on the injected clock, then transitions to half-open.
     * **half-open** — exactly one probe is allowed through; its success
       closes the breaker, its failure re-opens it (with a fresh
-      jittered timeout).
+      timeout).
 
     Thread-safe: the router's scatter pool consults one breaker from
     many worker threads.
     """
 
-    def __init__(self, clock, *, failure_threshold: int = 3,
-                 reset_timeout_s: float = 1.0, jitter: float = 0.5,
-                 seed: int = 0, name: bytes = b"") -> None:
-        if failure_threshold < 1:
-            raise ParameterError("failure_threshold must be >= 1")
-        if reset_timeout_s < 0:
-            raise ParameterError("reset_timeout_s cannot be negative")
-        if not 0.0 <= jitter <= 1.0:
-            raise ParameterError("jitter must be in [0, 1]")
+    def __init__(self, clock) -> None:
         self._clock = clock
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
-        self.jitter = jitter
-        self._seed = seed
-        self._name = bytes(name)
         self._lock = threading.Lock()
         self._state = STATE_CLOSED
         self._failures = 0
         self._opened_at = 0.0
-        self._timeout_s = reset_timeout_s
         self._probe_in_flight = False
-        #: How many times this breaker has tripped open (diagnostics,
-        #: and the counter that advances the jitter stream).
+        #: How many times this breaker has tripped open (diagnostics).
         self.trips = 0
 
     @property
@@ -126,22 +101,19 @@ class CircuitBreaker:
             self._tick()
             self._failures += 1
             if (self._state == STATE_HALF_OPEN
-                    or self._failures >= self.failure_threshold):
+                    or self._failures >= FAILURE_THRESHOLD):
                 self._trip()
 
     def _tick(self) -> None:
         # Caller holds self._lock.
         if (self._state == STATE_OPEN
-                and self._clock() - self._opened_at >= self._timeout_s):
+                and self._clock() - self._opened_at >= RESET_TIMEOUT_S):
             self._state = STATE_HALF_OPEN
             self._probe_in_flight = False
 
     def _trip(self) -> None:
-        # Caller holds self._lock.  Full jitter on the reset timeout:
-        # nominal · (1 + jitter·u), u ∈ [0, 1) from the seeded stream.
+        # Caller holds self._lock.
         self.trips += 1
-        draw = _unit_draw(self._seed, self._name, self.trips)
-        self._timeout_s = self.reset_timeout_s * (1.0 + self.jitter * draw)
         self._state = STATE_OPEN
         self._opened_at = self._clock()
         self._probe_in_flight = False
@@ -151,25 +123,17 @@ class HealthTable:
     """Breakers plus latency accounting for a set of shard addresses.
 
     The latency window feeds the hedging delay budget: once at least
-    ``min_samples`` scatter legs have been observed, a leg still
+    :data:`MIN_SAMPLES` scatter legs have been observed, a leg still
     pending after the window's p99 is hedged.  Latency is diagnostic
     wall-time (hedging only runs on concurrent transports, where legs
     occupy real threads); breaker time is the injected clock.
     """
 
-    def __init__(self, addresses, clock, *, seed: int = 0,
-                 failure_threshold: int = 3, reset_timeout_s: float = 1.0,
-                 jitter: float = 0.5, window: int = 128,
-                 min_samples: int = 20) -> None:
+    def __init__(self, addresses, clock) -> None:
         self._clock = clock
-        self._seed = seed
-        self._failure_threshold = failure_threshold
-        self._reset_timeout_s = reset_timeout_s
-        self._jitter = jitter
-        self.min_samples = min_samples
         self._lock = threading.Lock()
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._samples: deque[float] = deque(maxlen=window)
+        self._samples: deque[float] = deque(maxlen=WINDOW)
         self.hedges_sent = 0
         self.hedges_won = 0
         for address in addresses:
@@ -179,11 +143,7 @@ class HealthTable:
         with self._lock:
             breaker = self._breakers.get(address)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    self._clock, failure_threshold=self._failure_threshold,
-                    reset_timeout_s=self._reset_timeout_s,
-                    jitter=self._jitter, seed=self._seed,
-                    name=address.encode())
+                breaker = CircuitBreaker(self._clock)
                 self._breakers[address] = breaker
             return breaker
 
@@ -195,7 +155,7 @@ class HealthTable:
         """The p99 of recent scatter-leg latencies, or None while the
         window is too thin to estimate a tail."""
         with self._lock:
-            if len(self._samples) < self.min_samples:
+            if len(self._samples) < MIN_SAMPLES:
                 return None
             ordered = sorted(self._samples)
             return ordered[int(0.99 * (len(ordered) - 1))]

@@ -71,8 +71,8 @@ from repro.core.health import HealthTable
 from repro.core.shard import DEFAULT_VNODES, HashRing
 from repro.core.shard import collection_id_for_tag
 from repro.exceptions import (AuthenticationError, ParameterError,
-                              ReplayError, ReproError,
-                              TransientTransportError, TransportError)
+                              ReplayError, TransientTransportError,
+                              TransportError)
 
 __all__ = ["RouterEndpoint"]
 
@@ -103,9 +103,7 @@ class RouterEndpoint:
     def __init__(self, address: str, shard_addresses: "list[str]",
                  vnodes: int = DEFAULT_VNODES,
                  federation_key: "bytes | None" = None,
-                 allow_partial: bool = True, health_seed: int = 0,
-                 failure_threshold: int = 3,
-                 reset_timeout_s: float = 1.0) -> None:
+                 allow_partial: bool = True) -> None:
         if not shard_addresses:
             raise ParameterError("a router needs at least one shard")
         self.address = address
@@ -126,10 +124,8 @@ class RouterEndpoint:
         # Per-shard breakers on the *transport* clock (deterministic
         # under simulated time) plus the latency window the hedging
         # budget derives from.
-        self.health = HealthTable(
-            self.shard_addresses, clock=lambda: self.now,
-            seed=health_seed, failure_threshold=failure_threshold,
-            reset_timeout_s=reset_timeout_s)
+        self.health = HealthTable(self.shard_addresses,
+                                  clock=lambda: self.now)
         self._transport = None
         self._hibc_node = None
         self._root_public = None
@@ -213,9 +209,9 @@ class RouterEndpoint:
             # the client's retry policy fires — never as a terminal
             # error response (mirrors DurableEndpoint).
             raise
-        except ReproError as exc:
-            return wire.error_response(exc)
-        except Exception as exc:  # defensive: never kill a server thread
+        except Exception as exc:  # never kill a server thread
+            # error_response sends a ReproError as itself and any other
+            # exception as an opaque TransportError.
             return wire.error_response(exc)
 
     # -- the forwarding primitive --------------------------------------------

@@ -12,7 +12,9 @@ a TCP socket.
 Error transparency: a server-side :class:`~repro.exceptions.ReproError`
 is serialized by name and message and re-raised client-side as the same
 class, so protocol code keeps its natural ``try/except StorageError``
-shape across process boundaries.
+shape across process boundaries.  Any other exception crosses as a
+``TransportError`` with a fixed text: no builtin exception text ever
+reaches a peer.
 """
 
 from __future__ import annotations
@@ -122,6 +124,16 @@ def ok_response(payload: bytes = b"") -> bytes:
 
 
 def error_response(exc: BaseException) -> bytes:
+    """Serialize ``exc`` as an error response.
+
+    Only a :class:`~repro.exceptions.ReproError` crosses the wire by
+    name and message.  Any other exception is a server bug whose text
+    may carry server state, so the client gets a ``TransportError``
+    saying only ``internal server error`` — the class it would have
+    decoded anyway.
+    """
+    if not isinstance(exc, ReproError):
+        exc = TransportError("internal server error")
     return bytes([_STATUS_ERROR]) + pack_fields(
         type(exc).__name__.encode(), str(exc).encode())
 

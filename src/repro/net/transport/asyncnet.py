@@ -16,14 +16,15 @@ backends.
 
 Flow control is explicit on both sides of the wire:
 
-* **client**: a per-connection window (``window``) bounds the pending
-  frames in flight; the window-full caller blocks until a response
-  frees a slot (backpressure, not unbounded queueing);
-* **server**: a per-connection semaphore (``server_window``) stops
+* **client**: a per-connection window (:data:`WINDOW`) bounds the
+  pending frames in flight; the window-full caller blocks until a
+  response frees a slot (backpressure, not unbounded queueing);
+* **server**: a per-connection semaphore (:data:`SERVER_WINDOW`) stops
   *reading* a connection whose handlers have fallen behind, so a fast
   sender cannot balloon server memory.
 
-Server handlers execute on a thread pool, which is what makes dispatch
+Server handlers execute on a thread pool of :data:`HANDLER_THREADS`,
+which is what makes dispatch
 entry genuinely concurrent — the endpoints' reentrancy contract
 (mutating opcodes single-writer, read opcodes concurrent; see
 ``docs/architecture.md``) is exercised by every pipelined run.
@@ -35,7 +36,7 @@ and single-in-flight async traffic is byte-identical to the blocking
 backends — the four-backend parity suite pins this.
 
 ``close()`` drains gracefully: new connections are refused, in-flight
-frames get their responses (bounded by ``drain_timeout_s``), then the
+frames get their responses (bounded by :data:`DRAIN_TIMEOUT_S`), then the
 connections, loop, and handler pool are torn down.
 """
 
@@ -48,17 +49,23 @@ import threading
 import time
 
 from repro.core import wire
-from repro.net.transport.base import FrameRecord, Transport
-from repro.net.transport.socketnet import (_LEN_BYTES, _MAX_FRAME,
-                                           _TRANSIENT_OS_ERRORS)
+from repro.net.transport.socketnet import (CONNECT_RETRY_DELAY_S,
+                                           CONNECT_TIMEOUT_S, _LEN_BYTES,
+                                           _MAX_FRAME, _TRANSIENT_OS_ERRORS,
+                                           _TcpTransport)
 from repro.exceptions import TransientTransportError, TransportError
 
 __all__ = ["AsyncTransport"]
 
-_DEFAULT_WINDOW = 64
-_DEFAULT_SERVER_WINDOW = 128
-_DEFAULT_HANDLER_THREADS = 8
-_DEFAULT_DRAIN_TIMEOUT_S = 5.0
+#: Frames one client connection may have in flight.
+WINDOW = 64
+#: Frames one server connection may have in its handlers before the
+#: server stops reading it.
+SERVER_WINDOW = 128
+#: Threads dispatching server-side frames concurrently.
+HANDLER_THREADS = 8
+#: How long ``close()`` waits for in-flight frames to be answered.
+DRAIN_TIMEOUT_S = 5.0
 
 
 async def _read_blob(reader: asyncio.StreamReader) -> bytes | None:
@@ -105,13 +112,13 @@ class _MuxConnection:
 
     def __init__(self, loop: asyncio.AbstractEventLoop, dst: str,
                  reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, window: int) -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self._loop = loop
         self.dst = dst
         self.reader = reader
         self.writer = writer
         self._pending: dict[int, asyncio.Future] = {}
-        self._window = asyncio.Semaphore(window)
+        self._window = asyncio.Semaphore(WINDOW)
         self._write_lock = asyncio.Lock()
         self._counter = 0
         self.broken: BaseException | None = None
@@ -197,13 +204,13 @@ class _MuxConnection:
                 future.set_exception(failure)
         self.writer.close()
 
-    async def aclose(self, drain_timeout_s: float) -> None:
+    async def aclose(self) -> None:
         """Graceful drain: stop accepting frames, wait (bounded) for
         in-flight responses, then tear the connection down."""
         self.closing = True
         pending = [f for f in self._pending.values() if not f.done()]
         if pending:
-            await asyncio.wait(pending, timeout=drain_timeout_s)
+            await asyncio.wait(pending, timeout=DRAIN_TIMEOUT_S)
         self._break(TransientTransportError(
             "connection to %r closed" % self.dst))
         self._reader_task.cancel()
@@ -213,7 +220,7 @@ class _MuxConnection:
             pass
 
 
-class AsyncTransport(Transport):
+class AsyncTransport(_TcpTransport):
     """Frames pipelined over persistent multiplexed TCP connections."""
 
     #: Concurrent requests to one destination share a mux connection and
@@ -221,33 +228,16 @@ class AsyncTransport(Transport):
     CONCURRENT_REQUESTS = True
 
     def __init__(self, routes: dict[str, tuple[str, int]] | None = None,
-                 host: str = "127.0.0.1",
-                 window: int = _DEFAULT_WINDOW,
-                 server_window: int = _DEFAULT_SERVER_WINDOW,
-                 handler_threads: int = _DEFAULT_HANDLER_THREADS,
-                 connect_timeout_s: float = 10.0,
-                 connect_retries: int = 0,
-                 connect_retry_delay_s: float = 0.2,
-                 drain_timeout_s: float = _DEFAULT_DRAIN_TIMEOUT_S) -> None:
-        self._routes: dict[str, tuple[str, int]] = dict(routes or {})
-        self._endpoints: dict[str, object] = {}
+                 host: str = "127.0.0.1", connect_retries: int = 0) -> None:
+        super().__init__(routes, host, connect_retries)
         self._servers: list[asyncio.AbstractServer] = []
-        self._host = host
-        self._window_size = max(1, window)
-        self._server_window = max(1, server_window)
-        self._timeout = connect_timeout_s
-        self._connect_retries = connect_retries
-        self._connect_retry_delay_s = connect_retry_delay_s
-        self._drain_timeout_s = drain_timeout_s
-        self._log: list[FrameRecord] = []
-        self._lock = threading.Lock()
         # Loop-affine state: created here, then touched only from
         # coroutines running on the loop thread.
         self._conns: dict[str, _MuxConnection] = {}
         self._conn_locks: dict[str, asyncio.Lock] = {}
         self._conn_tasks: set[asyncio.Task] = set()
         self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(2, handler_threads),
+            max_workers=HANDLER_THREADS,
             thread_name_prefix="asyncnet-handler")
         self._loop: asyncio.AbstractEventLoop | None = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._run_loop,
@@ -282,8 +272,7 @@ class AsyncTransport(Transport):
         server = self._call(self._start_server(endpoint, port))
         bound = server.sockets[0].getsockname()
         self._routes[address] = (bound[0], bound[1])
-        self._endpoints[address] = endpoint
-        self._attach(endpoint)
+        super().bind(address, endpoint)
 
     async def _start_server(self, endpoint, port: int):
         # Loop-affine: the server table is owned by the loop thread —
@@ -294,22 +283,6 @@ class AsyncTransport(Transport):
             host=self._host, port=port)
         self._servers.append(server)
         return server
-
-    def endpoint_at(self, address: str):
-        return self._endpoints.get(address)
-
-    def has_route(self, address: str) -> bool:
-        return address in self._routes
-
-    def add_route(self, address: str, host: str, port: int) -> None:
-        """Point an address at an endpoint served by another process."""
-        self._routes[address] = (host, port)
-
-    def port_of(self, address: str) -> int:
-        route = self._routes.get(address)
-        if route is None:
-            raise TransportError("no route to %r" % address)
-        return route[1]
 
     def peak_in_flight(self) -> int:
         """Highest number of pipelined frames any connection held at
@@ -323,7 +296,7 @@ class AsyncTransport(Transport):
         self._conn_tasks.add(task)
         _set_nodelay(writer)
         write_lock = asyncio.Lock()
-        slots = asyncio.Semaphore(self._server_window)
+        slots = asyncio.Semaphore(SERVER_WINDOW)
         frame_tasks: set[asyncio.Task] = set()
         try:
             while True:
@@ -339,7 +312,7 @@ class AsyncTransport(Transport):
                     break
                 if blob is None:
                     break
-                # Server-side backpressure: when `server_window` frames
+                # Server-side backpressure: when SERVER_WINDOW frames
                 # from this connection are still being handled, stop
                 # reading (TCP then pushes back on the sender).
                 await slots.acquire()
@@ -400,12 +373,9 @@ class AsyncTransport(Transport):
             conn = self._conns.get(dst)
             if conn is not None and conn.broken is None and not conn.closing:
                 return conn
-            route = self._routes.get(dst)
-            if route is None:
-                raise self._no_endpoint(dst)
-            reader, writer = await self._open(dst, route)
+            reader, writer = await self._open(dst, self._route(dst))
             conn = _MuxConnection(asyncio.get_running_loop(), dst, reader,
-                                  writer, self._window_size)
+                                  writer)
             self._conns[dst] = conn
             return conn
 
@@ -415,11 +385,11 @@ class AsyncTransport(Transport):
         last: BaseException | None = None
         for attempt in range(self._connect_retries + 1):
             if attempt:
-                await asyncio.sleep(self._connect_retry_delay_s)
+                await asyncio.sleep(CONNECT_RETRY_DELAY_S)
             try:
                 reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(route[0], route[1]),
-                    self._timeout)
+                    CONNECT_TIMEOUT_S)
                 _set_nodelay(writer)
                 return reader, writer
             except _TRANSIENT_OS_ERRORS as exc:
@@ -433,9 +403,11 @@ class AsyncTransport(Transport):
             "cannot connect to %r after %d attempt(s): %s"
             % (dst, self._connect_retries + 1, last)) from last
 
-    async def _roundtrip(self, dst: str, frame: bytes) -> tuple[bytes, float]:
-        timeout_s = (self._attempt_timeout_s()
-                     if self._retry_policy is not None else self._timeout)
+    def _roundtrip(self, dst: str, frame: bytes) -> tuple[bytes, float]:
+        return self._call(self._pipeline(dst, frame))
+
+    async def _pipeline(self, dst: str, frame: bytes) -> tuple[bytes, float]:
+        timeout_s = self._reply_timeout_s()
         conn = await self._get_connection(dst)
         try:
             return await conn.roundtrip(frame, timeout_s)
@@ -455,49 +427,6 @@ class AsyncTransport(Transport):
             raise TransportError("socket error talking to %r: %s"
                                  % (dst, exc)) from exc
 
-    def _carry_frame(self, src: str, dst: str, frame: bytes, label: str,
-                     reply_label: str, bill_reply: bool) -> bytes:
-        sent_at = time.time()
-        response, request_done = self._call(self._roundtrip(dst, frame))
-        arrived_at = time.time()
-        # Direction-split stamps billing the logical frame bytes, exactly
-        # like socketnet — the length prefix and correlation-id envelope
-        # are stream framing, not protocol payload.
-        self._record(src, dst, label, len(frame), sent_at, request_done)
-        if bill_reply:
-            self._record(dst, src, reply_label, len(response),
-                         request_done, arrived_at)
-        return response
-
-    def deliver(self, src: str, dst: str, nbytes: int, label: str) -> None:
-        now = time.time()
-        self._record(src, dst, label, nbytes, now, now)
-
-    # -- clock + accounting -------------------------------------------------
-    @property
-    def now(self) -> float:
-        return time.time()
-
-    def mark(self) -> int:
-        with self._lock:
-            return len(self._log)
-
-    def records_since(self, mark: int) -> list:
-        with self._lock:
-            return self._log[mark:]
-
-    def _record(self, src: str, dst: str, label: str, nbytes: int,
-                sent_at: float, arrived_at: float) -> None:
-        with self._lock:
-            self._log.append(FrameRecord(src=src, dst=dst, label=label,
-                                         nbytes=nbytes, sent_at=sent_at,
-                                         arrived_at=arrived_at))
-
-    def _wait(self, seconds: float) -> None:
-        # Real wall-clock backoff, capped so chaos tests stay quick.
-        if seconds > 0:
-            time.sleep(min(seconds, 0.05))
-
     # -- lifecycle ----------------------------------------------------------
     async def _shutdown(self) -> None:
         # Loop-affine: runs on the event loop thread, which owns the
@@ -506,11 +435,11 @@ class AsyncTransport(Transport):
         for server in self._servers:
             server.close()
         for conn in list(self._conns.values()):
-            await conn.aclose(self._drain_timeout_s)
+            await conn.aclose()
         self._conns.clear()
         if self._conn_tasks:
             _done, pending = await asyncio.wait(
-                list(self._conn_tasks), timeout=self._drain_timeout_s)
+                list(self._conn_tasks), timeout=DRAIN_TIMEOUT_S)
             for task in pending:
                 task.cancel()
         for server in self._servers:
@@ -528,7 +457,7 @@ class AsyncTransport(Transport):
         self._loop = None
         try:
             future = asyncio.run_coroutine_threadsafe(self._shutdown(), loop)
-            future.result(timeout=2 * self._drain_timeout_s + 5)
+            future.result(timeout=2 * DRAIN_TIMEOUT_S + 5)
         finally:
             loop.call_soon_threadsafe(loop.stop)
             self._thread.join(timeout=5)

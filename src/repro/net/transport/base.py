@@ -22,10 +22,19 @@ which retries only :class:`~repro.exceptions.TransientTransportError`)
 With no policies installed the path is exactly one `_carry_frame` call,
 so fault-free runs stay byte-identical across backends.
 
+The base class also hosts endpoints: every backend keeps the same
+address → endpoint table, and the in-process backends dispatch through
+it directly.
+
 Backends: :class:`~repro.net.transport.loopback.LoopbackTransport`
 (direct in-process dispatch), :class:`~repro.net.transport.simnet
-.SimTransport` (the discrete-event simulator underneath), and
-:class:`~repro.net.transport.socketnet.SocketTransport` (real TCP).
+.SimTransport` (the discrete-event simulator underneath),
+:class:`~repro.net.transport.socketnet.SocketTransport` (real TCP, one
+connection per frame) and :class:`~repro.net.transport.asyncnet
+.AsyncTransport` (real TCP, frames pipelined over one multiplexed
+connection).  The two TCP carriers share
+:class:`~repro.net.transport.socketnet._TcpTransport` and differ only
+in their round trip.
 """
 
 from __future__ import annotations
@@ -71,19 +80,32 @@ class Transport(abc.ABC):
     #: (the multiplexed async backend sets it).
     CONCURRENT_REQUESTS = False
 
+    def __init__(self) -> None:
+        self._endpoints: dict[str, object] = {}
+
     # -- endpoint hosting ---------------------------------------------------
-    @abc.abstractmethod
     def bind(self, address: str, endpoint) -> None:
         """Serve ``endpoint.handle_frame`` at ``address``."""
+        self._endpoints[address] = endpoint
+        attach = getattr(endpoint, "attach", None)
+        if attach is not None:
+            attach(self)
 
-    @abc.abstractmethod
     def endpoint_at(self, address: str):
         """The locally-bound endpoint object, or None (e.g. a route that
         points at another OS process)."""
+        return self._endpoints.get(address)
 
-    @abc.abstractmethod
     def has_route(self, address: str) -> bool:
         """True when frames to ``address`` can be dispatched somewhere."""
+        return address in self._endpoints
+
+    def _dispatch(self, dst: str, frame: bytes) -> bytes:
+        """Hand ``frame`` to the endpoint bound here at ``dst``."""
+        endpoint = self._endpoints.get(dst)
+        if endpoint is None:
+            raise self._no_endpoint(dst)
+        return endpoint.handle_frame(frame)
 
     # -- clock + accounting -------------------------------------------------
     @property
@@ -222,12 +244,6 @@ class Transport(abc.ABC):
         if message is not None:
             raise TransientTransportError(message)
         return response
-
-    # -- shared plumbing ----------------------------------------------------
-    def _attach(self, endpoint) -> None:
-        attach = getattr(endpoint, "attach", None)
-        if attach is not None:
-            attach(self)
 
     @staticmethod
     def _no_endpoint(dst: str) -> TransportError:

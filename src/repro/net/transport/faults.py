@@ -48,14 +48,6 @@ class RetryPolicy:
     max_backoff_s: float = 2.0
     attempt_timeout_s: float = 5.0
     deadline_s: float = 30.0
-    #: When set, retries use seeded *full jitter*: the wait before
-    #: retry k is uniform in (0, min(cap, base·2^(k-1))], drawn from a
-    #: Random seeded by (jitter_seed, k) — deterministic for a given
-    #: seed, so a chaos run replays the identical backoff schedule,
-    #: while different seeds decorrelate clients that failed together
-    #: (no retry stampede against a recovering shard).  ``None`` (the
-    #: default) keeps the exact undithered exponential schedule.
-    jitter_seed: "int | None" = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -69,16 +61,8 @@ class RetryPolicy:
         """Backoff before the ``retry_index``-th retry (1-based)."""
         if retry_index < 1:
             raise ParameterError("retry_index is 1-based")
-        nominal = min(self.max_backoff_s,
-                      self.base_backoff_s * (2 ** (retry_index - 1)))
-        if self.jitter_seed is None:
-            return nominal
-        draw = random.Random(
-            "hcpp-retry-jitter:%d:%d"
-            % (self.jitter_seed, retry_index)).random()
-        # Half-open on the zero side: a literal 0 s wait would retry in
-        # the same scheduler slot that just failed.
-        return nominal * (1.0 - draw)
+        return min(self.max_backoff_s,
+                   self.base_backoff_s * (2 ** (retry_index - 1)))
 
 
 @dataclass(frozen=True)

@@ -22,20 +22,9 @@ class LoopbackTransport(Transport):
     """Direct in-process frame dispatch with full accounting."""
 
     def __init__(self) -> None:
-        self._endpoints: dict[str, object] = {}
+        super().__init__()
         self._log: list[FrameRecord] = []
         self._now = 0.0
-
-    # -- endpoint hosting ---------------------------------------------------
-    def bind(self, address: str, endpoint) -> None:
-        self._endpoints[address] = endpoint
-        self._attach(endpoint)
-
-    def endpoint_at(self, address: str):
-        return self._endpoints.get(address)
-
-    def has_route(self, address: str) -> bool:
-        return address in self._endpoints
 
     # -- clock + accounting -------------------------------------------------
     @property
@@ -60,12 +49,6 @@ class LoopbackTransport(Transport):
             self._now += seconds
 
     # -- carrying frames ----------------------------------------------------
-    def _dispatch(self, dst: str, frame: bytes) -> bytes:
-        endpoint = self._endpoints.get(dst)
-        if endpoint is None:
-            raise self._no_endpoint(dst)
-        return endpoint.handle_frame(frame)
-
     def _carry_frame(self, src: str, dst: str, frame: bytes, label: str,
                      reply_label: str, bill_reply: bool) -> bytes:
         self._record(src, dst, label, len(frame))

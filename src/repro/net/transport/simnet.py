@@ -46,19 +46,8 @@ class SimTransport(Transport):
     """Frames over the simulated network, endpoints dispatched in-process."""
 
     def __init__(self, network: Network) -> None:
+        super().__init__()
         self.network = network
-        self._endpoints: dict[str, object] = {}
-
-    # -- endpoint hosting ---------------------------------------------------
-    def bind(self, address: str, endpoint) -> None:
-        self._endpoints[address] = endpoint
-        self._attach(endpoint)
-
-    def endpoint_at(self, address: str):
-        return self._endpoints.get(address)
-
-    def has_route(self, address: str) -> bool:
-        return address in self._endpoints
 
     # -- clock + accounting -------------------------------------------------
     @property
@@ -76,12 +65,6 @@ class SimTransport(Transport):
             self.network.clock.advance(seconds)
 
     # -- carrying frames ----------------------------------------------------
-    def _dispatch(self, dst: str, frame: bytes) -> bytes:
-        endpoint = self._endpoints.get(dst)
-        if endpoint is None:
-            raise self._no_endpoint(dst)
-        return endpoint.handle_frame(frame)
-
     def _transmit(self, src: str, dst: str, nbytes: int, label: str) -> None:
         try:
             self.network.transmit(src, dst, nbytes, label=label)

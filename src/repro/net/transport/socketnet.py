@@ -20,6 +20,7 @@ that is still starting up.
 
 from __future__ import annotations
 
+import abc
 import logging
 import socket
 import socketserver
@@ -31,7 +32,15 @@ from repro.exceptions import TransientTransportError, TransportError
 
 _LEN_BYTES = 4
 _MAX_FRAME = 64 * 1024 * 1024
-_DEFAULT_READ_TIMEOUT_S = 30.0
+
+#: Seconds a client waits to connect, and for a reply when no
+#: RetryPolicy sets a per-attempt timeout.
+CONNECT_TIMEOUT_S = 10.0
+#: Pause between connect attempts when ``connect_retries`` > 0.
+CONNECT_RETRY_DELAY_S = 0.2
+#: A server connection quiet this long is answered with an error
+#: response and closed instead of pinning its thread forever.
+READ_TIMEOUT_S = 30.0
 
 _LOG = logging.getLogger("repro.net.transport.socketnet")
 
@@ -76,7 +85,7 @@ def _serialized_error(exc: BaseException) -> bytes:
 
 class _FrameHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        self.request.settimeout(self.server.read_timeout_s)
+        self.request.settimeout(READ_TIMEOUT_S)
         try:
             frame = _read_frame(self.request)
         except (TransportError, OSError) as exc:
@@ -133,56 +142,41 @@ class _EndpointServer(socketserver.ThreadingTCPServer):
         return conn, addr
 
 
-def serve_endpoint(endpoint, host: str = "127.0.0.1", port: int = 0,
-                   read_timeout_s: float = _DEFAULT_READ_TIMEOUT_S
-                   ) -> _EndpointServer:
+def serve_endpoint(endpoint, host: str = "127.0.0.1",
+                   port: int = 0) -> _EndpointServer:
     """Host one dispatch endpoint on a TCP port (background thread).
 
     Returns the server; ``server.server_address`` is the bound (host,
-    port) to hand to remote :class:`SocketTransport` routes.  A
-    connection that goes quiet for ``read_timeout_s`` is answered with
-    an error response and closed instead of pinning its thread forever.
+    port) to hand to remote :class:`SocketTransport` routes.
     """
     server = _EndpointServer((host, port), _FrameHandler)
     server.frame_handler = endpoint.handle_frame
-    server.read_timeout_s = read_timeout_s
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server
 
 
-class SocketTransport(Transport):
-    """Frames over real TCP sockets; wall-clock time; thread-safe log."""
+class _TcpTransport(Transport):
+    """What both TCP carriers share: routes, the wall clock, the locked
+    frame log, and direction-split billing.  A subclass hosts endpoints
+    (``bind``/``close``) and moves one frame (``_roundtrip``)."""
 
     def __init__(self, routes: dict[str, tuple[str, int]] | None = None,
-                 host: str = "127.0.0.1",
-                 connect_timeout_s: float = 10.0,
-                 connect_retries: int = 0,
-                 connect_retry_delay_s: float = 0.2) -> None:
+                 host: str = "127.0.0.1", connect_retries: int = 0) -> None:
+        super().__init__()
         self._routes: dict[str, tuple[str, int]] = dict(routes or {})
-        self._endpoints: dict[str, object] = {}
-        self._servers: list[_EndpointServer] = []
         self._host = host
-        self._timeout = connect_timeout_s
         self._connect_retries = connect_retries
-        self._connect_retry_delay_s = connect_retry_delay_s
         self._log: list[FrameRecord] = []
         self._lock = threading.Lock()
 
-    # -- endpoint hosting ---------------------------------------------------
-    def bind(self, address: str, endpoint, port: int = 0) -> None:
-        """Serve ``endpoint`` on ``port`` (0 = ephemeral).  A fixed port
-        lets two processes agree on a route before the server is up."""
-        server = serve_endpoint(endpoint, host=self._host, port=port)
-        self._servers.append(server)
-        self._routes[address] = (server.server_address[0],
-                                 server.server_address[1])
-        self._endpoints[address] = endpoint
-        self._attach(endpoint)
+    @abc.abstractmethod
+    def _roundtrip(self, dst: str, frame: bytes) -> tuple[bytes, float]:
+        """Send one frame, block for its reply.  Returns the reply and
+        the time the request finished going out (the reply's departure
+        lower bound, used to stamp direction-split records)."""
 
-    def endpoint_at(self, address: str):
-        return self._endpoints.get(address)
-
+    # -- routes ---------------------------------------------------------------
     def has_route(self, address: str) -> bool:
         return address in self._routes
 
@@ -196,11 +190,15 @@ class SocketTransport(Transport):
             raise TransportError("no route to %r" % address)
         return route[1]
 
-    def close(self) -> None:
-        for server in self._servers:
-            server.shutdown()
-            server.server_close()
-        self._servers.clear()
+    def _route(self, dst: str) -> tuple[str, int]:
+        route = self._routes.get(dst)
+        if route is None:
+            raise self._no_endpoint(dst)
+        return route
+
+    def _reply_timeout_s(self) -> float:
+        return (self._attempt_timeout_s() if self._retry_policy is not None
+                else CONNECT_TIMEOUT_S)
 
     # -- clock + accounting -------------------------------------------------
     @property
@@ -228,40 +226,72 @@ class SocketTransport(Transport):
             time.sleep(min(seconds, 0.05))
 
     # -- carrying frames ----------------------------------------------------
-    def _connect(self, dst: str,
-                 route: tuple[str, int]) -> socket.socket:
-        """Open a connection, retrying refusals a bounded number of
-        times (a peer process may still be binding its port)."""
-        last: OSError | None = None
-        for attempt in range(self._connect_retries + 1):
-            if attempt:
-                time.sleep(self._connect_retry_delay_s)
-            try:
-                conn = socket.create_connection(route,
-                                                timeout=self._timeout)
-                _tune_socket(conn)
-                return conn
-            except _TRANSIENT_OS_ERRORS as exc:
-                last = exc
-            except OSError as exc:
-                raise TransportError("socket error connecting to %r: %s"
-                                     % (dst, exc)) from exc
-        raise TransientTransportError(
-            "cannot connect to %r after %d attempt(s): %s"
-            % (dst, self._connect_retries + 1, last)) from last
+    def _carry_frame(self, src: str, dst: str, frame: bytes, label: str,
+                     reply_label: str, bill_reply: bool) -> bytes:
+        sent_at = time.time()
+        response, request_done = self._roundtrip(dst, frame)
+        arrived_at = time.time()
+        # Direction-split stamps, mirroring the simulator: the request
+        # occupies [sent_at, request_done], the reply departs no earlier
+        # than the request finished and lands at arrived_at.  Billing
+        # counts the logical frame bytes — length prefixes and the async
+        # correlation envelope are stream framing, not protocol payload.
+        self._record(src, dst, label, len(frame), sent_at, request_done)
+        if bill_reply:
+            self._record(dst, src, reply_label, len(response),
+                         request_done, arrived_at)
+        return response
+
+    def deliver(self, src: str, dst: str, nbytes: int, label: str) -> None:
+        now = time.time()
+        self._record(src, dst, label, nbytes, now, now)
+
+
+class SocketTransport(_TcpTransport):
+    """Frames over real TCP sockets, one connection per frame."""
+
+    def __init__(self, routes: dict[str, tuple[str, int]] | None = None,
+                 host: str = "127.0.0.1", connect_retries: int = 0) -> None:
+        super().__init__(routes, host, connect_retries)
+        self._servers: list[_EndpointServer] = []
+
+    def bind(self, address: str, endpoint, port: int = 0) -> None:
+        """Serve ``endpoint`` on ``port`` (0 = ephemeral).  A fixed port
+        lets two processes agree on a route before the server is up."""
+        server = serve_endpoint(endpoint, host=self._host, port=port)
+        self._servers.append(server)
+        self._routes[address] = (server.server_address[0],
+                                 server.server_address[1])
+        super().bind(address, endpoint)
+
+    def close(self) -> None:
+        for server in self._servers:
+            server.shutdown()
+            server.server_close()
+        self._servers.clear()
 
     def _roundtrip(self, dst: str, frame: bytes) -> tuple[bytes, float]:
-        """Send one frame, read the reply.  Returns the reply and the
-        time the request finished going out (the reply's departure
-        lower bound, used to stamp direction-split records)."""
-        route = self._routes.get(dst)
-        if route is None:
-            raise self._no_endpoint(dst)
+        route = self._route(dst)
         try:
-            with self._connect(dst, route) as conn:
-                conn.settimeout(self._attempt_timeout_s()
-                                if self._retry_policy is not None
-                                else self._timeout)
+            # Connect, retrying refusals a bounded number of times (a
+            # peer process may still be binding its port).
+            last: OSError | None = None
+            for attempt in range(self._connect_retries + 1):
+                if attempt:
+                    time.sleep(CONNECT_RETRY_DELAY_S)
+                try:
+                    conn = socket.create_connection(
+                        route, timeout=CONNECT_TIMEOUT_S)
+                    break
+                except _TRANSIENT_OS_ERRORS as exc:
+                    last = exc
+            else:
+                raise TransientTransportError(
+                    "cannot connect to %r after %d attempt(s): %s"
+                    % (dst, self._connect_retries + 1, last)) from last
+            with conn:
+                _tune_socket(conn)
+                conn.settimeout(self._reply_timeout_s())
                 _write_frame(conn, frame)
                 request_done = time.time()
                 response = _read_frame(conn)
@@ -278,21 +308,3 @@ class SocketTransport(Transport):
             raise TransientTransportError(
                 "connection to %r closed mid-frame" % dst)
         return response, request_done
-
-    def _carry_frame(self, src: str, dst: str, frame: bytes, label: str,
-                     reply_label: str, bill_reply: bool) -> bytes:
-        sent_at = time.time()
-        response, request_done = self._roundtrip(dst, frame)
-        arrived_at = time.time()
-        # Direction-split stamps, mirroring the simulator: the request
-        # occupies [sent_at, request_done], the reply departs no earlier
-        # than the request finished and lands at arrived_at.
-        self._record(src, dst, label, len(frame), sent_at, request_done)
-        if bill_reply:
-            self._record(dst, src, reply_label, len(response),
-                         request_done, arrived_at)
-        return response
-
-    def deliver(self, src: str, dst: str, nbytes: int, label: str) -> None:
-        now = time.time()
-        self._record(src, dst, label, nbytes, now, now)

@@ -6,7 +6,7 @@ evidence — the A-server's TR traces and the P-device's RD records —
 evidence.  This package provides the durability substrate:
 
 * :mod:`repro.store.journal` — a CRC32-framed, length-prefixed
-  append-only journal with fsync batching, torn-tail repair, and typed
+  append-only journal fsynced on every append, torn-tail repair, and typed
   corruption detection (:class:`~repro.exceptions.JournalCorruptionError`);
 * :mod:`repro.store.snapshot` — periodic atomic state snapshots
   (write-to-temp + rename), referenced from the journal so recovery is

@@ -69,12 +69,10 @@ class DurableStore:
     its ``<name>.snap.<id>`` snapshot series."""
 
     def __init__(self, data_dir: str, name: str, *,
-                 fsync_policy: str = "always",
                  snapshot_every: int = 0) -> None:
         os.makedirs(data_dir, exist_ok=True)
         self.data_dir = data_dir
         self.name = name
-        self.fsync_policy = fsync_policy
         #: Mutations between automatic snapshots (0 = journal-only).
         self.snapshot_every = snapshot_every
         self.journal_path = os.path.join(data_dir, name + ".journal")
@@ -84,8 +82,7 @@ class DurableStore:
 
     def writer(self) -> JournalWriter:
         if self._writer is None:
-            self._writer = JournalWriter(self.journal_path,
-                                         fsync_policy=self.fsync_policy)
+            self._writer = JournalWriter(self.journal_path)
         return self._writer
 
     def drop_writer(self) -> None:
@@ -232,20 +229,29 @@ class DurableEndpoint:
 
     def _commit(self, frame: bytes, started: float) -> None:
         # Caller holds self._lock.
-        timestamp = ts_ms(started)
-        payload = pack_fields(frame, self._commit_extra())
+        self._append(K_FRAME, pack_fields(frame, self._commit_extra()),
+                     ts_ms(started))
+        self._mutations += 1
+        self._maybe_snapshot()
+
+    def _append(self, kind: bytes, payload: bytes, timestamp: int = 0) -> None:
+        """Append one journal record (fsynced before this returns).
+
+        Caller holds self._lock.  If an armed torn write fires, the
+        process died mid-append: the endpoint goes down and the caller
+        gets the transport refusal a dead process gives.  The record
+        was never acknowledged, so losing it is correct — a client's
+        retry re-applies it after recovery truncates the torn tail.
+        """
         try:
-            self._store.writer().append(K_FRAME, payload, timestamp)
+            self._store.writer().append(kind, payload, timestamp)
         except JournalCorruptionError:
-            # The armed torn write fired: the process died mid-append.
-            # The mutation was never acknowledged, so losing it is
-            # correct — the client's retry will re-apply it after
-            # recovery truncates the torn tail.
             self._die()
             raise TransientTransportError(
                 "durable endpoint %r crashed mid-write" % self.address)
-        self._mutations += 1
-        self._maybe_snapshot()
+
+    def _now_ms(self) -> int:
+        return ts_ms(self._transport.now) if self._transport else 0
 
     def _commit_extra(self) -> bytes:
         """Per-endpoint commitment journaled beside each mutating frame
@@ -358,8 +364,7 @@ class DurableEndpoint:
             self._snapshot_id = (existing[-1] + 1) if existing else 0
             self.recoveries += 1
             if not records:
-                self._store.writer().append(K_META,
-                                            self._store.name.encode())
+                self._append(K_META, self._store.name.encode())
 
     def _configure_inner(self, inner) -> None:
         """Re-apply bind-time configuration (credentials, pre-shared
@@ -386,17 +391,10 @@ class DurableEndpoint:
                 if (self._suspend_thread == threading.get_ident()
                         or self._inner is None):
                     return
-                try:
-                    self._store.writer().append(
-                        K_GUARD,
-                        pack_fields(bytes([index]), tag,
-                                    repr(timestamp).encode()),
-                        ts_ms(timestamp))
-                except JournalCorruptionError:
-                    self._die()
-                    raise TransientTransportError(
-                        "durable endpoint %r crashed mid-write"
-                        % self.address)
+                self._append(K_GUARD,
+                             pack_fields(bytes([index]), tag,
+                                         repr(timestamp).encode()),
+                             ts_ms(timestamp))
         return on_remember
 
     # -- snapshots ------------------------------------------------------------
@@ -416,10 +414,8 @@ class DurableEndpoint:
             body = self._inner.export_state()
             write_snapshot(self._store.data_dir, self._store.name,
                            snapshot_id, body)
-            timestamp = ts_ms(self._transport.now) if self._transport else 0
-            self._store.writer().append(K_SNAP,
-                                        snapshot_id.to_bytes(4, "big"),
-                                        timestamp)
+            self._append(K_SNAP, snapshot_id.to_bytes(4, "big"),
+                         self._now_ms())
             self._snapshot_id += 1
             self._mutations = 0
             return snapshot_id
@@ -511,16 +507,11 @@ class DurableAServerEndpoint(DurableEndpoint):
         with self._lock:
             if self._inner is None:
                 return
-            try:
-                self._store.writer().append(
-                    K_ROSTER,
-                    pack_fields(b"+" if signed_in else b"-",
-                                hospital.encode(), physician_id.encode()),
-                    ts_ms(self._transport.now) if self._transport else 0)
-            except JournalCorruptionError:
-                self._die()
-                raise TransientTransportError(
-                    "durable endpoint %r crashed mid-write" % self.address)
+            self._append(K_ROSTER,
+                         pack_fields(b"+" if signed_in else b"-",
+                                     hospital.encode(),
+                                     physician_id.encode()),
+                         self._now_ms())
 
     def _replay_record(self, inner, record) -> None:
         # Caller holds self._lock.
@@ -566,12 +557,13 @@ class DurablePDeviceEndpoint(DurableEndpoint):
 
     def rekey(self, preshared_key: bytes) -> None:
         with self._lock:
-            changed = preshared_key != self._mu_value
+            if self._inner is not None and preshared_key != self._mu_value:
+                # Journal first: a torn write refuses the rekey and
+                # leaves μ as last committed, in memory and on disk.
+                self._append(K_KEY, preshared_key)
             self._mu_value = preshared_key
             if self._inner is not None:
                 self._inner.rekey(preshared_key)
-                if changed:
-                    self._store.writer().append(K_KEY, preshared_key)
 
     def _configure_inner(self, inner) -> None:
         if self._mu_value is not None:
@@ -600,14 +592,7 @@ class DurablePDeviceEndpoint(DurableEndpoint):
         with self._lock:
             if self._inner is None:
                 return
-            try:
-                self._store.writer().append(
-                    K_RD, record.to_bytes(),
-                    ts_ms(self._transport.now) if self._transport else 0)
-            except JournalCorruptionError:
-                self._die()
-                raise TransientTransportError(
-                    "durable endpoint %r crashed mid-write" % self.address)
+            self._append(K_RD, record.to_bytes(), self._now_ms())
             self._mutations += 1
             self._maybe_snapshot()
 

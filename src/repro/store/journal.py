@@ -94,28 +94,13 @@ class JournalRecord:
 class JournalWriter:
     """Appends framed records to a journal file.
 
-    ``fsync_policy`` controls the commit point:
-
-    * ``"always"`` (default) — fsync after every append; an acknowledged
-      mutation survives power loss.  This is the policy the durable
-      endpoints use before answering a wire frame.
-    * ``"batch"`` — fsync every ``batch_every`` appends (and on
-      :meth:`sync`/:meth:`close`); bounded-loss mode for benchmarks.
-    * ``"os"`` — never fsync explicitly; the OS page cache decides.
+    Every append is fsynced before it returns, so an acknowledged
+    mutation survives power loss: the durable endpoints append before
+    answering a wire frame.
     """
 
-    def __init__(self, path: str, *, fsync_policy: str = "always",
-                 batch_every: int = 16) -> None:
-        if fsync_policy not in ("always", "batch", "os"):
-            raise ParameterError(
-                "fsync_policy must be 'always', 'batch' or 'os', got %r"
-                % (fsync_policy,))
-        if batch_every < 1:
-            raise ParameterError("batch_every must be >= 1")
+    def __init__(self, path: str) -> None:
         self._path = path
-        self._policy = fsync_policy
-        self._batch_every = batch_every
-        self._pending = 0
         self._torn_cut: Optional[int] = None
         self._file = open(path, "ab")
         self.appended = 0
@@ -155,25 +140,17 @@ class JournalWriter:
                 % (cut, len(frame)))
         self._file.write(frame)
         self.appended += 1
-        self._pending += 1
-        if self._policy == "always":
-            self.sync()
-        elif self._policy == "batch" and self._pending >= self._batch_every:
-            self.sync()
+        self.sync()
         return offset
 
     def sync(self) -> None:
         """Flush buffered records and fsync them to stable storage."""
         self._file.flush()
         os.fsync(self._file.fileno())
-        self._pending = 0
 
     def close(self) -> None:
         if not self._file.closed:
-            if self._policy != "os":
-                self.sync()
-            else:
-                self._file.flush()
+            self.sync()
             self._file.close()
 
     def __enter__(self) -> "JournalWriter":

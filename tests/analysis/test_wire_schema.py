@@ -229,6 +229,31 @@ def test_durable_journaling_mutating_frames_is_clean(rule):
     assert not _run(rule, {"src/repro/store/durable.py": _DURABLE_OK})
 
 
+def test_durable_journaling_through_an_append_helper_is_clean(rule):
+    assert not _run(rule, {"src/repro/store/durable.py": """
+class Durable:
+    def _append(self, kind, payload):
+        self.writer().append(kind, payload)
+
+    def commit(self, opcode, frame):
+        if opcode in MUTATING_OPS:
+            self._append(K_FRAME, frame)
+"""})
+
+
+def test_helper_that_drops_the_kind_does_not_count(rule):
+    findings = _run(rule, {"src/repro/store/durable.py": """
+class Durable:
+    def _append(self, kind, payload):
+        self.writer().append(K_META, payload)
+
+    def commit(self, opcode, frame):
+        if opcode in MUTATING_OPS:
+            self._append(K_FRAME, frame)
+"""})
+    assert any("K_FRAME" in f.message for f in findings)
+
+
 def test_partial_run_without_durable_stays_quiet(rule):
     assert not analyze_source("def unrelated():\n    pass\n", rule)
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.health import (STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN,
-                               CircuitBreaker, HealthTable, _unit_draw)
-from repro.exceptions import ParameterError
+from repro.core.health import (FAILURE_THRESHOLD, MIN_SAMPLES,
+                               STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN,
+                               WINDOW, CircuitBreaker, HealthTable)
 
 
 class FakeClock:
@@ -22,21 +22,14 @@ class FakeClock:
         return self.t
 
 
-def _breaker(clock, **kwargs):
-    kwargs.setdefault("failure_threshold", 3)
-    kwargs.setdefault("reset_timeout_s", 1.0)
-    kwargs.setdefault("name", b"shard-a")
-    return CircuitBreaker(clock, **kwargs)
-
-
 class TestCircuitBreaker:
     def test_starts_closed_and_allows(self):
-        breaker = _breaker(FakeClock())
+        breaker = CircuitBreaker(FakeClock())
         assert breaker.state == STATE_CLOSED
         assert breaker.allow()
 
     def test_opens_after_consecutive_failures(self):
-        breaker = _breaker(FakeClock())
+        breaker = CircuitBreaker(FakeClock())
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == STATE_CLOSED  # threshold is 3
@@ -46,30 +39,29 @@ class TestCircuitBreaker:
         assert breaker.trips == 1
 
     def test_success_resets_the_failure_streak(self):
-        breaker = _breaker(FakeClock())
+        breaker = CircuitBreaker(FakeClock())
         for _ in range(10):
             breaker.record_failure()
             breaker.record_failure()
             breaker.record_success()  # consecutive, not cumulative
         assert breaker.state == STATE_CLOSED
 
-    def test_half_open_after_jittered_timeout(self):
+    def test_half_open_after_the_reset_timeout(self):
         clock = FakeClock()
-        breaker = _breaker(clock, jitter=0.5, seed=3)
+        breaker = CircuitBreaker(clock)
         for _ in range(3):
             breaker.record_failure()
         assert breaker.state == STATE_OPEN
-        # The reset timeout is nominal·(1 + jitter·u), u ∈ [0, 1):
-        # strictly before the nominal timeout the breaker stays open,
-        # and by the jitter ceiling it must have gone half-open.
+        # Strictly before the reset timeout the breaker stays open; at
+        # the timeout it goes half-open.
         clock.t = 0.999
         assert breaker.state == STATE_OPEN
-        clock.t = 1.5
+        clock.t = 1.0
         assert breaker.state == STATE_HALF_OPEN
 
     def test_half_open_admits_exactly_one_probe(self):
         clock = FakeClock()
-        breaker = _breaker(clock, jitter=0.0)
+        breaker = CircuitBreaker(clock)
         for _ in range(3):
             breaker.record_failure()
         clock.t = 1.0
@@ -81,7 +73,7 @@ class TestCircuitBreaker:
 
     def test_failed_probe_reopens(self):
         clock = FakeClock()
-        breaker = _breaker(clock, jitter=0.0)
+        breaker = CircuitBreaker(clock)
         for _ in range(3):
             breaker.record_failure()
         clock.t = 1.0
@@ -95,33 +87,10 @@ class TestCircuitBreaker:
         clock.t = 2.0
         assert breaker.state == STATE_HALF_OPEN
 
-    def test_jitter_is_seeded_and_per_name(self):
-        def tripped(seed, name):
-            breaker = _breaker(FakeClock(), seed=seed, name=name)
-            for _ in range(3):
-                breaker.record_failure()
-            return breaker._timeout_s
-
-        assert tripped(7, b"shard-a") == tripped(7, b"shard-a")
-        assert tripped(7, b"shard-a") != tripped(7, b"shard-b")
-        assert tripped(7, b"shard-a") != tripped(8, b"shard-a")
-        # And it matches the documented stream exactly.
-        expected = 1.0 * (1.0 + 0.5 * _unit_draw(7, b"shard-a", 1))
-        assert tripped(7, b"shard-a") == pytest.approx(expected)
-
-    def test_parameters_validated(self):
-        clock = FakeClock()
-        with pytest.raises(ParameterError):
-            CircuitBreaker(clock, failure_threshold=0)
-        with pytest.raises(ParameterError):
-            CircuitBreaker(clock, reset_timeout_s=-1.0)
-        with pytest.raises(ParameterError):
-            CircuitBreaker(clock, jitter=1.5)
-
 
 class TestHealthTable:
-    def _table(self, **kwargs):
-        return HealthTable(["s://a", "s://b"], FakeClock(), **kwargs)
+    def _table(self):
+        return HealthTable(["s://a", "s://b"], FakeClock())
 
     def test_breakers_precreated_and_stable(self):
         table = self._table()
@@ -130,30 +99,31 @@ class TestHealthTable:
         assert table.snapshot() == {"s://a": "closed", "s://b": "closed"}
 
     def test_snapshot_reflects_trips(self):
-        table = self._table(failure_threshold=1)
-        table.breaker("s://b").record_failure()
+        table = self._table()
+        for _ in range(FAILURE_THRESHOLD):
+            table.breaker("s://b").record_failure()
         assert table.snapshot() == {"s://a": "closed", "s://b": "open"}
 
     def test_hedge_budget_needs_min_samples(self):
-        table = self._table(min_samples=5)
-        for _ in range(4):
+        table = self._table()
+        for _ in range(MIN_SAMPLES - 1):
             table.observe_latency(0.01)
         assert table.hedge_budget_s() is None
         table.observe_latency(0.01)
         assert table.hedge_budget_s() == pytest.approx(0.01)
 
     def test_hedge_budget_is_the_p99(self):
-        table = self._table(min_samples=20, window=128)
+        table = self._table()
         for i in range(100):
             table.observe_latency(0.001 * (i + 1))
         # p99 over [0.001 .. 0.100] = index int(0.99*99) = 98 → 0.099.
         assert table.hedge_budget_s() == pytest.approx(0.099)
 
     def test_latency_window_is_bounded(self):
-        table = self._table(window=8, min_samples=1)
+        table = self._table()
         for _ in range(100):
             table.observe_latency(5.0)
-        for _ in range(8):
+        for _ in range(WINDOW):
             table.observe_latency(0.01)
         # Old outliers aged out of the bounded window entirely.
         assert table.hedge_budget_s() == pytest.approx(0.01)

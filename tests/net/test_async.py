@@ -14,6 +14,7 @@ from repro.core import wire
 from repro.core.dispatch import Endpoint
 from repro.net.transport import (AsyncTransport, RetryPolicy,
                                  SocketTransport)
+from repro.net.transport.asyncnet import HANDLER_THREADS, WINDOW
 from repro.net.transport.socketnet import _recv_exact
 from repro.exceptions import (AccessDenied, ParameterError,
                               TransientTransportError, TransportError)
@@ -129,7 +130,8 @@ class TestAsyncRoundTrip:
             net.bind("svc://a", Exploding())
             response = net.notify("cli://x", "svc://a",
                                   wire.make_frame(b"any"), label="l")
-            with pytest.raises(TransportError, match="endpoint blew up"):
+            assert b"endpoint blew up" not in response
+            with pytest.raises(TransportError, match="internal server error"):
                 wire.parse_response(response)
         finally:
             net.close()
@@ -279,9 +281,9 @@ class TestOutOfOrderCorrelation:
 
 class TestBackpressure:
     def test_pending_window_blocks_at_the_bound(self):
-        window = 2
         endpoint = GateEndpoint()
-        net = AsyncTransport(window=window)
+        net = AsyncTransport()
+        callers = WINDOW + 3
         results: dict[int, bytes] = {}
 
         def call(index: int) -> None:
@@ -291,27 +293,31 @@ class TestBackpressure:
             results[index] = wire.parse_response(response)
 
         threads = [threading.Thread(target=call, args=(i,))
-                   for i in range(5)]
+                   for i in range(callers)]
         try:
             net.bind("svc://gate", endpoint)
             for thread in threads:
                 thread.start()
             deadline = time.time() + 10.0
-            while len(endpoint.entered) < window and time.time() < deadline:
+            while (net.peak_in_flight() < WINDOW
+                   or len(endpoint.entered) < HANDLER_THREADS) \
+                    and time.time() < deadline:
                 time.sleep(0.01)
-            # Both window slots are inside handlers (concurrent entry);
-            # the remaining callers are parked in the client-side window,
-            # so no further frame reaches the server.
+            # The window is full: every handler thread is parked inside
+            # the gate, the rest of the window queues server-side, and
+            # the last three callers wait in the client-side window, so
+            # no further frame leaves the client.
             time.sleep(0.2)
-            assert len(endpoint.entered) == window
+            assert net.peak_in_flight() == WINDOW
+            assert len(endpoint.entered) == HANDLER_THREADS
         finally:
             endpoint.release.set()
             for thread in threads:
                 thread.join(timeout=20.0)
             peak = net.peak_in_flight()
             net.close()
-        assert results == {i: b"p%d" % i for i in range(5)}
-        assert peak == window
+        assert results == {i: b"p%d" % i for i in range(callers)}
+        assert peak == WINDOW
 
 
 class TestGracefulDrain:
@@ -319,7 +325,7 @@ class TestGracefulDrain:
         """Frames already pipelined when close() starts still get their
         responses before the connection dies."""
         endpoint = GateEndpoint()
-        net = AsyncTransport(drain_timeout_s=10.0)
+        net = AsyncTransport()
         results: dict[int, bytes] = {}
 
         def call(index: int) -> None:
@@ -395,7 +401,7 @@ class TestDispatchReentrancy:
         """The Endpoint contract under pipelined dispatch: read opcodes
         overlap, mutating opcodes never do."""
         endpoint = _CountingEndpoint()
-        net = AsyncTransport(handler_threads=8)
+        net = AsyncTransport()
         errors: list[BaseException] = []
 
         def call(opcode: bytes, index: int) -> None:

@@ -141,37 +141,6 @@ class TestRetryPolicy:
         with pytest.raises(ParameterError):
             RetryPolicy().backoff_s(0)
 
-    def test_jitter_default_off_keeps_pinned_schedule(self):
-        # jitter_seed=None must reproduce the exact undithered values
-        # every deployment to date has been tuned against.
-        plain = RetryPolicy(base_backoff_s=0.05, max_backoff_s=0.3)
-        assert plain.jitter_seed is None
-        assert plain.backoff_s(1) == pytest.approx(0.05)
-        assert plain.backoff_s(4) == pytest.approx(0.30)
-
-    def test_jitter_is_seeded_and_deterministic(self):
-        a = RetryPolicy(base_backoff_s=0.05, max_backoff_s=0.3,
-                        jitter_seed=7)
-        b = RetryPolicy(base_backoff_s=0.05, max_backoff_s=0.3,
-                        jitter_seed=7)
-        c = RetryPolicy(base_backoff_s=0.05, max_backoff_s=0.3,
-                        jitter_seed=8)
-        schedule_a = [a.backoff_s(k) for k in range(1, 9)]
-        assert schedule_a == [b.backoff_s(k) for k in range(1, 9)]
-        # Different seeds decorrelate (no retry stampede in lockstep).
-        assert schedule_a != [c.backoff_s(k) for k in range(1, 9)]
-
-    def test_jitter_stays_within_the_nominal_envelope(self):
-        plain = RetryPolicy(base_backoff_s=0.05, max_backoff_s=0.3)
-        jittered = RetryPolicy(base_backoff_s=0.05, max_backoff_s=0.3,
-                               jitter_seed=3)
-        for k in range(1, 20):
-            wait = jittered.backoff_s(k)
-            # Full jitter: uniform in (0, nominal] — never zero (a 0s
-            # wait retries in the slot that just failed), never above
-            # the capped exponential.
-            assert 0.0 < wait <= plain.backoff_s(k)
-
 
 class TestFaultPolicy:
     def test_rates_validated(self):

@@ -18,7 +18,8 @@ from repro.core.protocols.messages import pack_fields, unpack_fields
 from repro.core.system import build_system
 from repro.net.transport import FaultPolicy, LoopbackTransport, RetryPolicy
 from repro.exceptions import (JournalCorruptionError, ParameterError,
-                              RecoveryError, ReplayError)
+                              RecoveryError, ReplayError,
+                              TransientTransportError)
 from repro.store import (DurableStore, JournalWriter, bind_durable_aserver,
                          bind_durable_pdevice, bind_durable_sserver,
                          read_journal)
@@ -287,6 +288,30 @@ class TestKeystore:
         faults.restart(system.pdevice.address)
         assert system.pdevice.package is not None
         assert dp._mu_value == patient.preshared_key(system.pdevice.name)
+
+    def test_torn_rekey_is_refused_and_recovers_last_durable_key(
+            self, tmp_path):
+        # A crash mid K_KEY append must look like any other torn write:
+        # a typed refusal, the device down, and μ as last committed.
+        system, net, faults, (_, _, dp) = _deployment(tmp_path)
+        patient, server = _seed_and_store(system, net)
+        assign_privilege(patient, system.pdevice, server, net)
+        durable_mu = patient.preshared_key(system.pdevice.name)
+        faults.crash(system.pdevice.address, during_write=True)
+        with pytest.raises(TransientTransportError, match="mid-write"):
+            dp.rekey(b"\x07" * 32)
+        with pytest.raises(TransientTransportError, match="is down"):
+            dp.handle_frame(wire.make_frame(wire.OP_PASSCODE))
+        assert dp._mu_value == durable_mu
+        dp._mu_value = None  # recover from the journal alone
+        faults.restart(system.pdevice.address)
+        assert dp._mu_value == durable_mu
+        assert dp._inner._mu == durable_mu
+        # The rebuilt writer accepts the next rekey.
+        dp.rekey(b"\x08" * 32)
+        faults.crash(system.pdevice.address)
+        faults.restart(system.pdevice.address)
+        assert dp._mu_value == b"\x08" * 32
 
     def test_rd_records_and_alerts_survive(self, tmp_path):
         system, net, faults, (_, _, dp) = _deployment(tmp_path)

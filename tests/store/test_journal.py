@@ -19,8 +19,8 @@ from repro.store import (JournalReader, JournalWriter, read_journal,
 from repro.store.journal import HEADER_SIZE, K_FRAME, K_META, K_SNAP, _crc
 
 
-def _write(path, entries, **kwargs):
-    with JournalWriter(path, **kwargs) as writer:
+def _write(path, entries):
+    with JournalWriter(path) as writer:
         for kind, payload in entries:
             writer.append(kind, payload, ts_ms=1234)
 
@@ -59,15 +59,17 @@ class TestRoundTrip:
         scanned = [offset for offset, _ in JournalReader(path).scan()]
         assert scanned == offsets
 
-    def test_fsync_policies_accepted(self, tmp_path):
-        for policy in ("always", "batch", "os"):
-            path = str(tmp_path / ("%s.journal" % policy))
-            _write(path, [(K_FRAME, b"p")], fsync_policy=policy)
-            assert len(read_journal(path)) == 1
-
-    def test_bad_policy_rejected(self, tmp_path):
-        with pytest.raises(ParameterError):
-            JournalWriter(str(tmp_path / "x.journal"), fsync_policy="yolo")
+    def test_every_append_is_fsynced(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: synced.append(fd) or real_fsync(fd))
+        path = str(tmp_path / "f.journal")
+        with JournalWriter(path) as writer:
+            for n in range(3):
+                writer.append(K_FRAME, b"p")
+                assert len(synced) == n + 1
+        assert len(read_journal(path)) == 3
 
     def test_oversize_record_rejected_at_append(self, tmp_path):
         from repro.store.journal import MAX_BODY_SIZE

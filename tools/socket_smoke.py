@@ -100,8 +100,7 @@ def run_client(port: int, chaos: bool = False) -> int:
     system = _build_system()
     patient, server = system.patient, system.sserver
     if chaos:
-        transport = SocketTransport(connect_retries=30,
-                                    connect_retry_delay_s=0.2)
+        transport = SocketTransport(connect_retries=30)
         transport.set_retry_policy(RetryPolicy())
         transport.install_faults(FaultPolicy(**CHAOS_FAULT_SPEC))
     else:
@@ -152,8 +151,7 @@ def run_async_client(port: int) -> int:
 
     system = _build_system()
     patient, server = system.patient, system.sserver
-    transport = AsyncTransport(connect_retries=30,
-                               connect_retry_delay_s=0.2)
+    transport = AsyncTransport(connect_retries=30)
     transport.add_route(server.address, "127.0.0.1", port)
     assert transport.endpoint_at(server.address) is None, \
         "client must hold no server endpoint — that is the point"
@@ -239,8 +237,7 @@ def _free_port() -> int:
 
 def _client_transport(server_address: str, port: int):
     from repro.net.transport import SocketTransport
-    transport = SocketTransport(connect_retries=30,
-                                connect_retry_delay_s=0.2)
+    transport = SocketTransport(connect_retries=30)
     transport.add_route(server_address, "127.0.0.1", port)
     return transport
 
