@@ -3,12 +3,11 @@
 Runs every HCPP protocol over the simulated-network transport, records
 its message count, byte total, and median wall-clock serving time, and
 compares one retrieval across the three transport backends (loopback /
-simulator / sockets) to price the dispatch boundary itself.  A
-sustained-throughput section then pits the blocking socket backend
-(one connection per frame, one serial client) against the asyncio
-multiplexed backend at 1/8/64/256 concurrent clients — frames/sec and
-p50/p99 latency per leg.  Appends a run entry to a trajectory JSON
-file (default ``BENCH_protocols.json`` at the repo root).
+simulator / TCP) to price the dispatch boundary itself.  A
+sustained-throughput section then drives the TCP carrier at 1/8/64/256
+concurrent clients — frames/sec and p50/p99 latency per leg.  Appends
+a run entry to a trajectory JSON file (default ``BENCH_protocols.json``
+at the repo root).
 
 Usage::
 
@@ -36,8 +35,8 @@ from repro.core.protocols.storage import private_phi_storage
 from repro.core.system import build_system
 from repro.ehr.phi import generate_workload
 from repro.core.protocols.base import with_policies
-from repro.net.transport import (FaultPolicy, LoopbackTransport,
-                                 RetryPolicy, SocketTransport)
+from repro.net.transport import (AsyncTransport, FaultPolicy,
+                                 LoopbackTransport, RetryPolicy)
 
 WORKLOAD_FILES = 10
 CHAOS_DROP_RATE = 0.05
@@ -149,7 +148,7 @@ def bench_protocols(iters: int) -> dict:
 def bench_backends(iters: int) -> dict:
     """One retrieval, three carriers: what does each transport cost?"""
     out = {}
-    for backend in ("loopback", "sim", "socket"):
+    for backend in ("loopback", "sim", "async"):
         system = build_system(seed=b"bench-proto-backends")
         workload = generate_workload(system.rng.fork("workload"),
                                      WORKLOAD_FILES,
@@ -157,8 +156,8 @@ def bench_backends(iters: int) -> dict:
         system.patient.import_collection(workload)
         if backend == "loopback":
             net = LoopbackTransport()
-        elif backend == "socket":
-            net = SocketTransport()
+        elif backend == "async":
+            net = AsyncTransport()
         else:
             net = system.network
         try:
@@ -170,17 +169,16 @@ def bench_backends(iters: int) -> dict:
                             "messages": rt.stats.messages,
                             "bytes": rt.stats.bytes_total}
         finally:
-            if isinstance(net, SocketTransport):
+            if isinstance(net, AsyncTransport):
                 net.close()
     return out
 
 
 _ECHO_SERVER_CHILD = r'''
-import sys
 import time
 
 from repro.core import wire
-from repro.net.transport import AsyncTransport, SocketTransport
+from repro.net.transport import AsyncTransport
 
 
 class Echo:
@@ -192,8 +190,7 @@ class Echo:
         return wire.ok_response(fields[0])
 
 
-transport = (AsyncTransport() if sys.argv[1] == "async"
-             else SocketTransport())
+transport = AsyncTransport()
 transport.bind("svc://echo", Echo())
 print("PORT %d" % transport.port_of("svc://echo"), flush=True)
 while True:
@@ -203,20 +200,16 @@ while True:
 
 def bench_throughput(duration_s: float,
                      concurrency=(1, 8, 64, 256)) -> dict:
-    """Sustained dispatch throughput: blocking sockets vs the mux.
+    """Sustained dispatch throughput of the TCP carrier.
 
     A cheap echo endpoint (256 B payload — dispatch cost, not crypto
     cost) is served from a *separate OS process* and hammered for
     ``duration_s`` per leg, so client and server pay real IPC and can
-    use separate cores.  The baseline is the blocking
-    :class:`SocketTransport` from one serial client — one TCP
-    connection per frame, the backend's actual behaviour — then the
-    asyncio multiplexed backend takes 1/8/64/256 concurrent client
-    threads pipelining over one shared connection.  Frames/sec plus
-    p50/p99 caller-observed latency per leg; ``cpu_count`` is recorded
-    because the mux's advantage over the serial baseline is largely
-    parallelism — on a one-core box both backends fold onto the same
-    CPU and the ratio collapses toward the per-frame-overhead delta."""
+    use separate cores.  Each leg runs 1/8/64/256 concurrent client
+    threads, each on its own pooled connection (at most ``WINDOW`` in
+    flight).  Frames/sec plus p50/p99 caller-observed latency per leg;
+    ``cpu_count`` is recorded because the gain from more clients is
+    parallelism — on a one-core box client and server share the CPU."""
     import contextlib
     import os
     import subprocess
@@ -224,14 +217,13 @@ def bench_throughput(duration_s: float,
     import threading
 
     from repro.core import wire
-    from repro.net.transport import AsyncTransport
 
     frame = wire.make_frame(b"echo", b"\x5a" * 256)
 
     @contextlib.contextmanager
-    def echo_server(kind: str):
-        child = subprocess.Popen([sys.executable, "-c", _ECHO_SERVER_CHILD,
-                                  kind], stdout=subprocess.PIPE, text=True)
+    def echo_server():
+        child = subprocess.Popen([sys.executable, "-c", _ECHO_SERVER_CHILD],
+                                 stdout=subprocess.PIPE, text=True)
         try:
             line = child.stdout.readline().strip()
             if not line.startswith("PORT "):
@@ -282,36 +274,22 @@ def bench_throughput(duration_s: float,
         for _ in range(50):
             client.request("cli://warm", "svc://echo", frame, label="bench")
 
-    with echo_server("socket") as port:
-        client = SocketTransport()
-        try:
-            client.add_route("svc://echo", "127.0.0.1", port)
-            warm_up(client)
-            socket_serial = drive(client, 1)
-        finally:
-            client.close()
-
-    async_mux = {}
-    with echo_server("async") as port:
+    legs = {}
+    with echo_server() as port:
         for n_threads in concurrency:
             client = AsyncTransport()
             try:
                 client.add_route("svc://echo", "127.0.0.1", port)
                 warm_up(client)
-                async_mux[str(n_threads)] = drive(client, n_threads)
+                legs[str(n_threads)] = drive(client, n_threads)
             finally:
                 client.close()
 
-    at_64 = async_mux.get("64")
     return {
         "payload_bytes": 256,
         "duration_s": duration_s,
         "cpu_count": os.cpu_count(),
-        "socket_serial": socket_serial,
-        "async_mux": async_mux,
-        "async_speedup_at_64": round(
-            at_64["frames_per_s"] / socket_serial["frames_per_s"], 2)
-        if at_64 else None,
+        "tcp": legs,
     }
 
 
@@ -452,15 +430,11 @@ def main() -> None:
 
     print("== sustained dispatch throughput (echo, 256 B) ==")
     throughput = bench_throughput(args.throughput_duration)
-    row = throughput["socket_serial"]
-    print("   socket serial    %8.0f frames/s  p50 %6.3f ms  p99 %6.3f ms"
-          % (row["frames_per_s"], row["p50_ms"], row["p99_ms"]))
-    for clients, row in throughput["async_mux"].items():
-        print("   async %3s client %8.0f frames/s  p50 %6.3f ms  "
+    for clients, row in throughput["tcp"].items():
+        print("   tcp %3s client(s) %8.0f frames/s  p50 %6.3f ms  "
               "p99 %6.3f ms" % (clients, row["frames_per_s"], row["p50_ms"],
                                 row["p99_ms"]))
-    print("   async/socket speedup at 64 clients: %sx on %d core(s)"
-          % (throughput["async_speedup_at_64"], throughput["cpu_count"]))
+    print("   on %d core(s)" % throughput["cpu_count"])
 
     print("== durability: write-ahead journal overhead ==")
     durability = bench_durability(args.iters)

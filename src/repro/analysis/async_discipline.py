@@ -1,10 +1,9 @@
 """async-discipline: coroutines must not block, and loop-owned state
 stays on the loop.
 
-The asyncio transport (PR 7) multiplexes thousands of in-flight frames
-over one event loop thread.  Three mistakes silently destroy that
-concurrency — none of them crash, all of them show up only as tail
-latency under load:
+An asyncio event loop serves every coroutine from one thread.  Three
+mistakes silently destroy that concurrency — none of them crash, all
+of them show up only as tail latency under load:
 
 * **A blocking call inside ``async def``** (``time.sleep``, raw socket
   I/O, ``os.fsync``, ``subprocess``) parks the *entire* loop, not one

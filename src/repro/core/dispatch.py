@@ -75,8 +75,8 @@ class Endpoint:
     replay-guard commitments are persisted separately (see
     :meth:`guards`).
 
-    **Reentrancy contract** (the multiplexed async backend dispatches
-    pipelined frames from a thread pool, so ``handle_frame`` must
+    **Reentrancy contract** (the TCP carrier dispatches frames from
+    concurrent connection threads, so ``handle_frame`` must
     tolerate concurrent entry): mutating opcodes are *single-writer* —
     they serialize on :attr:`_write_lock`, which keeps the durable
     layer's journal append order well-defined — while read-only opcodes
@@ -233,9 +233,12 @@ class SServerEndpoint(Endpoint):
         Each frame field is one ``(pseudonym, Λ, envelope)`` entry; the
         reply packs one *full status-framed response* per entry — entry k
         carries its own ok/error encoding, independent of its neighbours.
-        Per-entry framing is what lets the federation router scatter
-        sub-batches to shards and splice the per-entry responses back
-        together byte-identically to one server serving the whole batch.
+        A search failure, a bad pseudonym's SOK derivation included,
+        answers only its own entry; an entry that does not parse fails
+        the whole frame.  Per-entry framing is what lets the federation
+        router scatter sub-batches to shards and splice the per-entry
+        responses back together byte-identically to one server serving
+        the whole batch.
         """
         requests = []
         for entry in fields:

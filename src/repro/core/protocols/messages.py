@@ -158,7 +158,7 @@ class ReplayGuard:
     of the same tag raises :class:`ReplayError`.  Entries older than the
     window are pruned lazily so memory stays bounded.
 
-    Thread-safe: the async transport serves pipelined frames from handler
+    Thread-safe: the TCP carrier serves frames from concurrent connection
     threads, so the check-then-insert must be atomic (two threads
     presenting the same tag concurrently must not both pass).
     """

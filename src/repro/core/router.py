@@ -292,9 +292,9 @@ class RouterEndpoint:
                  tolerant: bool = False) -> "list[bytes | None]":
         """Forward one frame per (shard, frame) pair; responses by index.
 
-        Pipelined (the router's persistent scatter pool) when the
-        transport multiplexes concurrent requests
-        (``CONCURRENT_REQUESTS``, the async backend); serial in target
+        Concurrent (the router's persistent scatter pool) when the
+        transport runs concurrent requests in parallel
+        (``CONCURRENT_REQUESTS``, the TCP carrier); serial in target
         order otherwise.  Either way the gathered list is indexed like
         ``targets`` — deterministic merge order never depends on
         completion order.

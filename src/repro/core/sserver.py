@@ -298,21 +298,22 @@ class StorageServer:
                            now: float) -> "list[tuple[Envelope | None, Exception | None]]":
         """Per-request outcomes for the batched wire op (OP_SEARCH_BATCH).
 
-        Every request's SOK key is derived first (a bad pseudonym fails
-        the whole batch); then each request resolves independently to
-        ``(reply, None)`` or ``(None, exception)``.  Independence is what
-        lets the federation router splice per-shard sub-batches back
-        together with responses byte-identical to one server handling
-        the whole batch: entry k's outcome depends only on entry k,
-        never on its neighbours.
+        Each request resolves independently to ``(reply, None)`` or
+        ``(None, exception)``, its SOK key derivation included: a bad
+        pseudonym (say, the point at infinity) fails only its own entry,
+        before that entry touches the replay guard.  Independence is
+        what lets the federation router splice per-shard sub-batches
+        back together with responses byte-identical to one server
+        handling the whole batch: entry k's outcome depends only on
+        entry k, never on its neighbours.
         """
-        keys = [self.session_key(req.pseudonym) for req in requests]
         outcomes: list[tuple[Envelope | None, Exception | None]] = []
-        for req, key in zip(requests, keys):
+        for req in requests:
             try:
                 outcomes.append((self._search(
-                    key, req.pseudonym.to_bytes(), [req.collection_id],
-                    req.envelope, now, self._guard, _RETRIEVE_LABELS), None))
+                    self.session_key(req.pseudonym), req.pseudonym.to_bytes(),
+                    [req.collection_id], req.envelope, now, self._guard,
+                    _RETRIEVE_LABELS), None))
             except ReproError as exc:
                 outcomes.append((None, exc))
         return outcomes

@@ -264,13 +264,14 @@ def open_internal_frame(key: bytes | None, opcode: bytes,
     return operands
 
 
-# -- correlation ids (multiplexed transports) -------------------------------
-# A multiplexing transport pipelines many frames over one connection and
-# must match each response to its caller.  The envelope is versioned by
-# its leading byte: id 0 encodes as the *identity* (the exact bytes every
-# blocking backend puts on the wire, so single-in-flight traffic stays
-# byte-identical across all four backends and a legacy peer needs no
-# upgrade), and nonzero ids prepend ``CORR_MAGIC ‖ u32-BE id``.  The
+# -- correlation ids (unused by the carriers) -------------------------------
+# No transport calls this codec: the TCP carrier runs one exchange per
+# connection, so frames need no ids.  It stays only because
+# hcppbench/spans.py wraps ``wrap_corr``/``unwrap_corr`` by name and
+# refuses to run when a wrapped name is missing; delete it when that
+# benchmark is next revised.  The envelope was versioned by its leading
+# byte: id 0 encodes as the *identity* (the plain frame bytes), and
+# nonzero ids prepend ``CORR_MAGIC ‖ u32-BE id``.  The
 # magic starts with 0xff: a legacy frame starts with the u32-BE length
 # of its opcode field (a few dozen bytes) and a response starts with a
 # 0x00/0x01 status byte, so neither can ever collide with the prefix.

@@ -28,13 +28,9 @@ it directly.
 
 Backends: :class:`~repro.net.transport.loopback.LoopbackTransport`
 (direct in-process dispatch), :class:`~repro.net.transport.simnet
-.SimTransport` (the discrete-event simulator underneath),
-:class:`~repro.net.transport.socketnet.SocketTransport` (real TCP, one
-connection per frame) and :class:`~repro.net.transport.asyncnet
-.AsyncTransport` (real TCP, frames pipelined over one multiplexed
-connection).  The two TCP carriers share
-:class:`~repro.net.transport.socketnet._TcpTransport` and differ only
-in their round trip.
+.SimTransport` (the discrete-event simulator underneath) and
+:class:`~repro.net.transport.tcpnet.AsyncTransport` (real TCP, one
+reply per checkout of a pooled persistent connection).
 """
 
 from __future__ import annotations
@@ -73,11 +69,11 @@ class Transport(abc.ABC):
     _retry_policy = None
     _fault_policy = None
 
-    #: Whether concurrent ``request`` calls from multiple threads gain
-    #: real pipelining on this carrier.  Blocking backends serialize on
-    #: a connection (or a virtual clock), so scatter-gather callers —
-    #: the federation router — fan out serially unless this is True
-    #: (the multiplexed async backend sets it).
+    #: Whether concurrent ``request`` calls from multiple threads run
+    #: in parallel on this carrier.  The in-process backends serialize
+    #: on a virtual clock, so scatter-gather callers — the federation
+    #: router — fan out serially unless this is True (the TCP carrier
+    #: sets it).
     CONCURRENT_REQUESTS = False
 
     def __init__(self) -> None:
@@ -236,7 +232,7 @@ class Transport(abc.ABC):
 
         In-process backends let a crashed durable endpoint's
         ``TransientTransportError`` propagate up through the attempt;
-        socket/async servers serialize the same exception into an error
+        the TCP server serializes the same exception into an error
         response.  Without this, remote refusals would dodge the retry
         loop and surface in protocol code instead.
         """

@@ -276,7 +276,7 @@ def build_secure_index(
 #   CLI with --shards) share this one process-global cache, so the old
 #   fixed 32-entry capacity thrashed.  ``HCPP_INDEX_CACHE`` (read at
 #   call time) sizes it per deployment.
-# * Concurrent misses on the *same* blob — pipelined async searches of
+# * Concurrent misses on the *same* blob — concurrent TCP searches of
 #   one hot collection — each paid a full duplicate ``from_bytes``.
 #   Misses now collapse: the first caller becomes the loader, later
 #   callers wait on its event and share the one deserialized object

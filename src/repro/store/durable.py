@@ -184,7 +184,7 @@ class DurableEndpoint:
             if opcode in type(inner).MUTATING_OPS:
                 return self._handle_mutating(inner, frame)
         # Read-only frame: handled *outside* the wrapper lock, so the
-        # pipelined async backend can run reads concurrently (with each
+        # TCP carrier can run reads concurrently (with each
         # other and with at most one writer — the inner endpoint's
         # reentrancy contract).  Durability is untouched: the only disk
         # write a read can cause is its guard commitment, and the

@@ -144,6 +144,19 @@ def test_since_head_smoke(cli, capsys):
     assert status == 0, out
 
 
+def test_since_sees_callers_outside_the_changed_file(cli, capsys,
+                                                     monkeypatch):
+    """Analyzed alone, durable.py holds one ``rekey`` and secret-flow
+    misreads it; the changed-files run must analyze the whole target
+    and report only the changed file's findings."""
+    monkeypatch.setattr(cli, "_changed_since",
+                        lambda rev, targets: ["src/repro/store/durable.py"])
+    status = cli.main(["--since", "HEAD", "--no-cache", "src/repro/store"])
+    out = capsys.readouterr().out
+    assert status == 0, out
+    assert "0 finding(s)" in out
+
+
 def test_cache_round_trip(cli, capsys, tmp_path):
     cache = str(tmp_path / "cache.json")
     assert cli.main(["--cache", cache, "--rules", "layering"]) == 0

@@ -2,7 +2,7 @@
 
 The acceptance bar for the federation is *byte parity*: every protocol
 round through the :class:`~repro.core.router.RouterEndpoint` — any
-shard count, all four transports — must produce responses
+shard count, all three transports — must produce responses
 byte-identical to a single S-server holding all the data.  These tests
 drive the full protocol suite through federations of 1/2/4/8 shards
 and compare fingerprints (message counts, byte totals, plaintext)
@@ -34,10 +34,9 @@ from repro.core.system import build_system
 from repro.exceptions import (AuthenticationError, ParameterError,
                               RecoveryError, ReplayError, StorageError,
                               TransportError)
-from repro.net.transport import (AsyncTransport, LoopbackTransport,
-                                 SocketTransport)
+from repro.net.transport import AsyncTransport, LoopbackTransport
 
-BACKENDS = ["loopback", "sim", "socket", "async"]
+BACKENDS = ["loopback", "sim", "async"]
 
 
 def _make_transport(backend: str, system):
@@ -45,13 +44,11 @@ def _make_transport(backend: str, system):
         return LoopbackTransport()
     if backend == "sim":
         return system.network
-    if backend == "async":
-        return AsyncTransport()
-    return SocketTransport()
+    return AsyncTransport()
 
 
 def _close(net) -> None:
-    if isinstance(net, (SocketTransport, AsyncTransport)):
+    if isinstance(net, AsyncTransport):
         net.close()
 
 
@@ -135,7 +132,7 @@ class TestSuiteParity:
     def test_loopback_any_shard_count(self, baseline, shards):
         assert run_suite("loopback", shards=shards) == baseline
 
-    @pytest.mark.parametrize("backend", ["sim", "socket", "async"])
+    @pytest.mark.parametrize("backend", ["sim", "async"])
     def test_every_backend_two_shards(self, baseline, backend):
         assert run_suite(backend, shards=2) == baseline
 
@@ -265,6 +262,30 @@ class TestFrameParity:
                     wire.parse_response(entry)
             else:
                 wire.parse_response(entry)  # status OK
+
+    def test_batch_infinity_pseudonym_fails_only_its_entry(self):
+        """A pseudonym at infinity has no SOK key.  On one server and
+        through a 4-shard router alike it fails only its own entry, and
+        it burns no replay-guard slot: its envelope still opens after."""
+        responses = []
+        for shards in (0, 4):
+            system, net, cids = _stored_deployment(shards)
+            endpoint = net.endpoint_at(system.sserver.address)
+            good = _batch_frame(system, [cids[0]], ["allergies"], net.now)
+            probe = _search_frame(system, cids[1], ["allergies"], net.now)
+            _opcode, (_pseudonym, cid, env_b) = wire.parse_frame(probe)
+            frame = wire.make_frame(wire.OP_SEARCH_BATCH,
+                                    wire.parse_frame(good)[1][0],
+                                    pack_fields(b"\x00", cid, env_b))
+            response = endpoint.handle_frame(frame)
+            entries = unpack_fields(wire.parse_response(response))
+            assert len(entries) == 2
+            wire.parse_response(entries[0])  # status OK
+            with pytest.raises(ParameterError):
+                wire.parse_response(entries[1])
+            wire.parse_response(endpoint.handle_frame(probe))
+            responses.append((frame, response))
+        assert responses[0] == responses[1]
 
     def test_replay_rejected_through_router(self):
         fed_sys, fed_net, cids = _stored_deployment(2)

@@ -1,14 +1,12 @@
-"""Transport parity: one protocol suite, four interchangeable carriers.
+"""Transport parity: one protocol suite, three interchangeable carriers.
 
 The same seeded deployment is driven through every protocol over the
-in-process loopback, the discrete-event simulator, real TCP sockets,
-and the asyncio multiplexed backend.  Because protocols serialize to
-wire frames before any transport touches them, the retrieved plaintext
-AND the per-protocol frame accounting (message count, byte total) must
-be identical across all four backends — the simulator measures exactly
-what a socket deployment would send, and single-in-flight async
-traffic (correlation id 0 encodes as the identity bytes) weighs the
-same as blocking-socket traffic.
+in-process loopback, the discrete-event simulator and the TCP carrier.
+Because protocols serialize to wire frames before any transport touches
+them, the retrieved plaintext AND the per-protocol frame accounting
+(message count, byte total) must be identical across all three
+backends — the simulator measures exactly what a TCP deployment would
+send.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from repro.core.protocols.privilege import (assign_privilege,
 from repro.core.protocols.retrieval import common_case_retrieval
 from repro.core.protocols.storage import private_phi_storage
 from repro.net.transport import (AsyncTransport, LoopbackTransport,
-                                 SimTransport, SocketTransport)
+                                 SimTransport)
 
-BACKENDS = ["loopback", "sim", "socket", "async"]
+BACKENDS = ["loopback", "sim", "async"]
 
 
 def _make_transport(backend: str, system):
@@ -37,13 +35,11 @@ def _make_transport(backend: str, system):
         return LoopbackTransport()
     if backend == "sim":
         return system.network
-    if backend == "async":
-        return AsyncTransport()
-    return SocketTransport()
+    return AsyncTransport()
 
 
 def _close(net) -> None:
-    if isinstance(net, (SocketTransport, AsyncTransport)):
+    if isinstance(net, AsyncTransport):
         net.close()
 
 
@@ -144,8 +140,6 @@ def _crossdomain_federation(backend: str):
         net.add_node(patient.address)
         net.add_node(server.address)
         net.connect(patient.address, server.address, LinkClass.INTERNET)
-    elif backend == "socket":
-        net = SocketTransport()
     elif backend == "async":
         net = AsyncTransport()
     else:
@@ -171,16 +165,16 @@ def run_crossdomain(backend: str) -> dict:
 
 
 class TestTransportParity:
-    """All six protocols, four backends, byte-identical accounting."""
+    """All six protocols, three backends, byte-identical accounting."""
 
     def test_protocol_suite_identical_across_backends(self):
         baseline = run_suite("loopback")
-        for backend in ("sim", "socket", "async"):
+        for backend in ("sim", "async"):
             assert run_suite(backend) == baseline, backend
 
     def test_crossdomain_identical_across_backends(self):
         baseline = run_crossdomain("loopback")
-        for backend in ("sim", "socket", "async"):
+        for backend in ("sim", "async"):
             assert run_crossdomain(backend) == baseline, backend
 
     def test_pinned_message_counts_hold_on_loopback(self):
@@ -195,7 +189,7 @@ class TestTransportParity:
         assert out["mhi-retrieve"]["messages"] == 4
 
     def test_mhi_roundtrip_recovers_window(self):
-        out = run_suite("socket")
+        out = run_suite("async")
         assert out["mhi-days"] == ["2026-07-01"]
 
 

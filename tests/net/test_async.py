@@ -1,10 +1,12 @@
-"""The asyncio multiplexed backend: correlation ids, backpressure,
-graceful drain, legacy interop, and the dispatch reentrancy contract
-under genuinely concurrent handler entry."""
+"""The TCP carrier: the connection-pool invariants, backpressure,
+graceful drain, plain-frame wire interop, and the dispatch reentrancy
+contract under genuinely concurrent handler entry; plus the
+correlation-id codec that ``repro.core.wire`` still ships."""
 
 from __future__ import annotations
 
 import socket as socket_mod
+import sys
 import threading
 import time
 
@@ -12,10 +14,8 @@ import pytest
 
 from repro.core import wire
 from repro.core.dispatch import Endpoint
-from repro.net.transport import (AsyncTransport, RetryPolicy,
-                                 SocketTransport)
-from repro.net.transport.asyncnet import HANDLER_THREADS, WINDOW
-from repro.net.transport.socketnet import _recv_exact
+from repro.net.transport import AsyncTransport, RetryPolicy
+from repro.net.transport.tcpnet import HANDLER_THREADS, WINDOW, _read_frame
 from repro.exceptions import (AccessDenied, ParameterError,
                               TransientTransportError, TransportError)
 
@@ -184,99 +184,159 @@ class TestAsyncRoundTrip:
 
 class TestLegacyInterop:
     def test_blocking_socket_client_reaches_async_server(self):
-        """Frame id 0 encodes as the identity bytes, so an unmodified
-        connection-per-frame SocketTransport client can talk to an
-        AsyncTransport server."""
-        server_side = AsyncTransport()
-        client_side = SocketTransport()
+        """The wire carries the plain length-prefixed frame and nothing
+        else: a hand-rolled blocking client that writes one frame and
+        reads one reply talks to the carrier's server unchanged."""
+        net = AsyncTransport()
         try:
-            server_side.bind("svc://a", EchoEndpoint())
-            client_side.add_route("svc://a", "127.0.0.1",
-                                  server_side.port_of("svc://a"))
-            response = client_side.request(
-                "cli://x", "svc://a", wire.make_frame(b"echo", b"legacy"),
-                label="step")
-            assert wire.parse_response(response) == b"legacy"
+            net.bind("svc://a", EchoEndpoint())
+            route = ("127.0.0.1", net.port_of("svc://a"))
+            frame = wire.make_frame(b"echo", b"legacy")
+            with socket_mod.create_connection(route, timeout=5.0) as conn:
+                for _ in range(2):  # the connection persists
+                    conn.sendall(len(frame).to_bytes(4, "big") + frame)
+                    reply = _read_frame(conn, bytearray())
+                    assert wire.parse_response(reply) == b"legacy"
         finally:
-            client_side.close()
-            server_side.close()
+            net.close()
 
     def test_wrapped_frame_is_opaque_to_a_legacy_endpoint(self):
-        """The reverse pairing is intentionally unsupported: a mux
-        client's nonzero correlation id reaches a legacy endpoint as
-        opaque leading bytes, which its frame parser rejects — the
-        upgrade order is servers first, exactly like any versioned
-        envelope."""
+        """A correlation-wrapped frame is not a frame: its id prefix
+        reaches an endpoint as opaque leading bytes, which the frame
+        parser rejects."""
         blob = wire.wrap_corr(7, wire.make_frame(b"echo", b"x"))
         with pytest.raises(ParameterError):
             wire.parse_frame(blob)
 
 
-class _ReorderingServer:
-    """Hand-rolled peer: reads ``expect`` frames off one connection,
-    then answers them in *reverse* arrival order — the worst case for
-    response correlation."""
+class _SlowOnceEndpoint(EchoEndpoint):
+    """Echoes, but sits on its first frame past the client's timeout."""
 
-    def __init__(self, expect: int) -> None:
-        self.expect = expect
-        self._srv = socket_mod.socket()
-        self._srv.bind(("127.0.0.1", 0))
-        self._srv.listen(1)
-        self.port = self._srv.getsockname()[1]
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-
-    def _run(self) -> None:
-        conn, _addr = self._srv.accept()
-        with conn, self._srv:
-            batch: list[tuple[int, bytes]] = []
-            for _ in range(self.expect):
-                header = _recv_exact(conn, 4)
-                blob = _recv_exact(conn, int.from_bytes(header, "big"))
-                frame_id, frame = wire.unwrap_corr(blob)
-                _opcode, fields = wire.parse_frame(frame)
-                batch.append((frame_id,
-                              wire.ok_response(b"echo:" + fields[0])))
-            for frame_id, response in reversed(batch):
-                out = wire.wrap_corr(frame_id, response)
-                conn.sendall(len(out).to_bytes(4, "big") + out)
+    def handle_frame(self, frame: bytes) -> bytes:
+        if not self.seen:
+            time.sleep(0.5)
+        return super().handle_frame(frame)
 
 
-class TestOutOfOrderCorrelation:
-    def test_each_caller_gets_its_own_payload(self):
-        callers = 6
-        server = _ReorderingServer(expect=callers)
+def _free_port() -> int:
+    with socket_mod.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestConnectionPool:
+    def test_serial_requests_reuse_one_connection(self):
         net = AsyncTransport()
-        net.add_route("svc://reorder", "127.0.0.1", server.port)
-        results: dict[int, bytes] = {}
+        try:
+            endpoint = EchoEndpoint()
+            net.bind("svc://a", endpoint)
+            for i in range(5):
+                response = net.request("cli://x", "svc://a",
+                                       wire.make_frame(b"echo", b"%d" % i),
+                                       label="step")
+                assert wire.parse_response(response) == b"%d" % i
+            assert len(net._server_conns) == 1
+            assert net.peak_in_flight() == 1
+        finally:
+            net.close()
+
+    def test_rebound_server_costs_no_failed_request(self):
+        """The server restarts on its fixed port between two requests;
+        with no RetryPolicy, the checkout probe must drop the pooled
+        connection the old server hung up and dial the new one."""
+        port = _free_port()
+        client = AsyncTransport()
+        client.add_route("svc://a", "127.0.0.1", port)
+        server = AsyncTransport()
+        try:
+            server.bind("svc://a", EchoEndpoint(), port=port)
+            first = client.request("cli://x", "svc://a",
+                                   wire.make_frame(b"echo", b"one"),
+                                   label="step")
+            assert wire.parse_response(first) == b"one"
+            server.close()
+            server = AsyncTransport()
+            server.bind("svc://a", EchoEndpoint(), port=port)
+            second = client.request("cli://x", "svc://a",
+                                    wire.make_frame(b"echo", b"two"),
+                                    label="step")
+            assert wire.parse_response(second) == b"two"
+        finally:
+            client.close()
+            server.close()
+
+    def test_timed_out_connection_never_returns_to_the_pool(self):
+        """The first reply arrives after the caller gave up; the next
+        request must get its own reply, never the late one."""
+        net = AsyncTransport()
+        try:
+            net.bind("svc://a", _SlowOnceEndpoint())
+            net.set_retry_policy(RetryPolicy(max_attempts=1,
+                                             attempt_timeout_s=0.1))
+            with pytest.raises(TransientTransportError):
+                net.request("cli://x", "svc://a",
+                            wire.make_frame(b"echo", b"late"), label="step")
+            net.set_retry_policy(None)
+            response = net.request("cli://x", "svc://a",
+                                   wire.make_frame(b"echo", b"fresh"),
+                                   label="step")
+            assert wire.parse_response(response) == b"fresh"
+            time.sleep(0.6)  # the late reply has landed somewhere by now
+            response = net.request("cli://x", "svc://a",
+                                   wire.make_frame(b"echo", b"again"),
+                                   label="step")
+            assert wire.parse_response(response) == b"again"
+        finally:
+            net.close()
+
+    def test_stress_many_callers_keep_their_own_replies(self):
+        """More callers than cores, a tiny switch interval: every caller
+        gets its own reply, the frame log loses no record, and every
+        window slot comes back."""
+        net = AsyncTransport()
+        callers, rounds = 16, 25
         errors: list[BaseException] = []
 
         def call(index: int) -> None:
             try:
-                response = net.request(
-                    "cli://%d" % index, "svc://reorder",
-                    wire.make_frame(b"echo", b"p%d" % index),
-                    label="step-%d" % index)
-                results[index] = wire.parse_response(response)
+                for i in range(rounds):
+                    payload = b"%d/%d" % (index, i)
+                    response = net.request(
+                        "cli://%d" % index, "svc://a",
+                        wire.make_frame(b"echo", payload), label="step")
+                    assert wire.parse_response(response) == payload
             except BaseException as exc:  # pragma: no cover - fail loud
                 errors.append(exc)
 
-        threads = [threading.Thread(target=call, args=(i,))
-                   for i in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
+            net.bind("svc://a", EchoEndpoint())
+            threads = [threading.Thread(target=call, args=(i,))
+                       for i in range(callers)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(timeout=20.0)
-            server.thread.join(timeout=20.0)
-            peak = net.peak_in_flight()
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
         finally:
+            sys.setswitchinterval(interval)
             net.close()
         assert not errors
-        # The acid test: responses came back in reverse order, yet every
-        # caller was handed exactly its own payload.
-        assert results == {i: b"echo:p%d" % i for i in range(callers)}
-        assert peak == callers
+        assert len(net.records_since(0)) == 2 * callers * rounds
+        pool = net._pools["svc://a"]
+        assert pool.in_flight == 0
+        assert 1 < net.peak_in_flight() <= callers
+
+    def test_close_with_six_endpoints_is_prompt(self):
+        net = AsyncTransport()
+        for i in range(6):
+            net.bind("svc://%d" % i, EchoEndpoint())
+            net.request("cli://x", "svc://%d" % i,
+                        wire.make_frame(b"echo", b"x"), label="step")
+        started = time.perf_counter()
+        net.close()
+        assert time.perf_counter() - started < 0.05
 
 
 class TestBackpressure:

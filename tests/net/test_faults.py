@@ -30,7 +30,7 @@ from repro.core.protocols.storage import private_phi_storage
 from repro.core.system import build_system
 from repro.net.transport import (AsyncTransport, FaultPolicy,
                                  LoopbackTransport, RetryPolicy,
-                                 SocketTransport, parse_fault_spec)
+                                 parse_fault_spec)
 from repro.exceptions import (ParameterError, PartialResultError,
                               ReplayError, ReproError,
                               TransientTransportError, TransportError)
@@ -42,7 +42,7 @@ CARDIO_TEXT = "Prior MI (2024); ejection fraction 45%."
 # at least once each over the ~30 frames of the full suite.
 CHAOS_SEED = 15
 
-BACKENDS = ["loopback", "sim", "socket", "async"]
+BACKENDS = ["loopback", "sim", "async"]
 
 
 class _Echo:
@@ -64,13 +64,11 @@ def _make_transport(backend: str, system):
         return LoopbackTransport()
     if backend == "sim":
         return system.network
-    if backend == "async":
-        return AsyncTransport()
-    return SocketTransport()
+    return AsyncTransport()
 
 
 def _close(net) -> None:
-    if isinstance(net, (SocketTransport, AsyncTransport)):
+    if isinstance(net, AsyncTransport):
         net.close()
 
 

@@ -2,9 +2,9 @@
 
 A handler bug (a ``ValueError``, a ``KeyError``, ...) may carry server
 state in its message.  Every catch-all that serializes a server-side
-exception — dispatch endpoints, the federation router, the socket
-server loop and the async server loop — answers with an opaque
-``TransportError`` instead, on all four backends.
+exception — dispatch endpoints, the federation router and the TCP
+server loop — answers with an opaque ``TransportError`` instead, on
+all three backends.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from repro.crypto.rng import HmacDrbg
 from repro.net.link import LinkClass
 from repro.net.sim import Network
 from repro.net.transport import (AsyncTransport, LoopbackTransport,
-                                 SimTransport, SocketTransport)
+                                 SimTransport)
 from repro.exceptions import TransportError
 
 SECRET = "secret-text"
-BACKENDS = ["loopback", "sim", "socket", "async"]
+BACKENDS = ["loopback", "sim", "async"]
 
 
 def _make(backend: str):
@@ -34,13 +34,11 @@ def _make(backend: str):
             network.add_node(node)
         network.connect("cli://x", "svc://a", LinkClass.WIRED_LAN)
         return SimTransport(network)
-    if backend == "async":
-        return AsyncTransport()
-    return SocketTransport()
+    return AsyncTransport()
 
 
 def _close(net) -> None:
-    if isinstance(net, (SocketTransport, AsyncTransport)):
+    if isinstance(net, AsyncTransport):
         net.close()
 
 
@@ -94,7 +92,7 @@ def test_router_hides_builtin_text(backend):
     _assert_opaque(_reply(backend, router, wire.make_frame(wire.OP_SEARCH)))
 
 
-@pytest.mark.parametrize("backend", ["socket", "async"])
+@pytest.mark.parametrize("backend", ["async"])
 def test_server_loop_hides_builtin_text(backend):
     _assert_opaque(_reply(backend, _RaisingEndpoint(),
                           wire.make_frame(b"any")))

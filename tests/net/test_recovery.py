@@ -37,8 +37,7 @@ from repro.core.protocols.retrieval import common_case_retrieval
 from repro.core.protocols.storage import private_phi_storage
 from repro.core.system import build_system
 from repro.net.transport import (AsyncTransport, FaultPolicy,
-                                 LoopbackTransport, RetryPolicy,
-                                 SocketTransport)
+                                 LoopbackTransport, RetryPolicy)
 from repro.store import (DurableStore, bind_durable_aserver,
                          bind_durable_pdevice, bind_durable_sserver)
 from repro.exceptions import (AuthenticationError, ReplayError,
@@ -54,15 +53,13 @@ CHAOS_SEED = 15
 def _make_transport(backend: str, system):
     if backend == "sim":
         return system.network
-    if backend == "socket":
-        return SocketTransport()
     if backend == "async":
         return AsyncTransport()
     return LoopbackTransport()
 
 
 def _close(net) -> None:
-    if isinstance(net, (SocketTransport, AsyncTransport)):
+    if isinstance(net, AsyncTransport):
         net.close()
 
 
@@ -194,7 +191,7 @@ class TestChaosRecoveryMatrix:
         assert durable.recoveries >= 4  # initial boot + 3 crashes
         assert durable._store.torn_repairs >= 1
 
-    @pytest.mark.parametrize("backend", ["sim", "socket", "async"])
+    @pytest.mark.parametrize("backend", ["sim", "async"])
     def test_suite_survives_crashes_on_every_backend(self, tmp_path,
                                                      backend):
         # The loopback matrix above, re-run over the other three

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import wire
-from repro.net.transport import (FrameRecord, LoopbackTransport,
-                                 SocketTransport, serve_endpoint)
+from repro.net.transport import (AsyncTransport, FrameRecord,
+                                 LoopbackTransport)
 from repro.exceptions import AccessDenied, ParameterError, TransportError
 
 
@@ -165,83 +165,84 @@ class TestLoopbackTransport:
         assert transport.has_route("svc://a")
 
 
+@pytest.fixture
+def remote():
+    """The two-process shape inside one process: the endpoint is served
+    by one TCP transport, and a second one reaches it only through a
+    static (host, port) route."""
+    server_side, client_side = AsyncTransport(), AsyncTransport()
+
+    def serve(endpoint):
+        server_side.bind("svc://a", endpoint)
+        client_side.add_route("svc://a", "127.0.0.1",
+                              server_side.port_of("svc://a"))
+        return client_side
+
+    yield serve
+    client_side.close()
+    server_side.close()
+
+
 class TestSocketTransport:
-    def test_round_trip_over_real_tcp(self):
-        transport = SocketTransport()
-        try:
-            transport.bind("svc://a", EchoEndpoint())
-            response = transport.request(
-                "cli://x", "svc://a", wire.make_frame(b"echo", b"tcp-bytes"),
-                label="step")
-            assert wire.parse_response(response) == b"tcp-bytes"
-        finally:
-            transport.close()
+    """The TCP carrier seen from a client that holds no endpoint."""
 
-    def test_server_errors_cross_the_socket(self):
-        transport = SocketTransport()
-        try:
-            transport.bind("svc://a", EchoEndpoint())
-            response = transport.notify("cli://x", "svc://a",
-                                        wire.make_frame(b"boom"), label="l")
-            with pytest.raises(AccessDenied):
-                wire.parse_response(response)
-        finally:
-            transport.close()
+    def test_round_trip_over_real_tcp(self, remote):
+        transport = remote(EchoEndpoint())
+        response = transport.request(
+            "cli://x", "svc://a", wire.make_frame(b"echo", b"tcp-bytes"),
+            label="step")
+        assert wire.parse_response(response) == b"tcp-bytes"
 
-    def test_static_route_reaches_endpoint_served_elsewhere(self):
-        """A second transport connects via (host, port) only — the
-        same split the two-process smoke test exercises."""
-        server_side = SocketTransport()
-        client_side = SocketTransport()
-        try:
-            server_side.bind("svc://a", EchoEndpoint())
-            client_side.add_route("svc://a", "127.0.0.1",
-                                  server_side.port_of("svc://a"))
-            assert client_side.endpoint_at("svc://a") is None
-            assert client_side.has_route("svc://a")
-            response = client_side.request(
-                "cli://x", "svc://a", wire.make_frame(b"echo", b"remote"),
-                label="step")
-            assert wire.parse_response(response) == b"remote"
-        finally:
-            server_side.close()
-            client_side.close()
+    def test_server_errors_cross_the_socket(self, remote):
+        transport = remote(EchoEndpoint())
+        response = transport.notify("cli://x", "svc://a",
+                                    wire.make_frame(b"boom"), label="l")
+        with pytest.raises(AccessDenied):
+            wire.parse_response(response)
 
-    def test_unrouted_address_raises(self):
-        transport = SocketTransport()
+    def test_static_route_reaches_endpoint_served_elsewhere(self, remote):
+        client_side = remote(EchoEndpoint())
+        assert client_side.endpoint_at("svc://a") is None
+        assert client_side.has_route("svc://a")
+        response = client_side.request(
+            "cli://x", "svc://a", wire.make_frame(b"echo", b"remote"),
+            label="step")
+        assert wire.parse_response(response) == b"remote"
+
+    def test_unrouted_address_raises(self, remote):
+        transport = remote(EchoEndpoint())
         with pytest.raises(TransportError):
             transport.notify("a", "svc://nowhere", b"frame", label="l")
         with pytest.raises(TransportError):
             transport.port_of("svc://nowhere")
 
     def test_connection_refused_surfaces_as_transport_error(self):
-        transport = SocketTransport()
-        server = SocketTransport()
+        transport = AsyncTransport()
+        server = AsyncTransport()
         server.bind("svc://a", EchoEndpoint())
         port = server.port_of("svc://a")
         server.close()
         transport.add_route("svc://a", "127.0.0.1", port)
-        with pytest.raises(TransportError):
-            transport.notify("c", "svc://a", b"frame", label="l")
-
-    def test_reply_record_has_direction_split_timestamps(self):
-        """The reply FrameRecord must carry its own times, not a copy
-        of the request's — reply latency used to equal the full RTT."""
-        transport = SocketTransport()
         try:
-            transport.bind("svc://a", EchoEndpoint())
-            mark = transport.mark()
-            transport.request("cli://x", "svc://a",
-                              wire.make_frame(b"echo", b"t"), label="step")
-            request, reply = transport.records_since(mark)
-            assert request.sent_at <= request.arrived_at
-            assert reply.sent_at == request.arrived_at
-            assert reply.sent_at <= reply.arrived_at
-            assert reply.latency <= (reply.arrived_at - request.sent_at)
+            with pytest.raises(TransportError):
+                transport.notify("c", "svc://a", b"frame", label="l")
         finally:
             transport.close()
 
-    def test_handler_exception_returns_error_response(self):
+    def test_reply_record_has_direction_split_timestamps(self, remote):
+        """The reply FrameRecord must carry its own times, not a copy
+        of the request's — reply latency used to equal the full RTT."""
+        transport = remote(EchoEndpoint())
+        mark = transport.mark()
+        transport.request("cli://x", "svc://a",
+                          wire.make_frame(b"echo", b"t"), label="step")
+        request, reply = transport.records_since(mark)
+        assert request.sent_at <= request.arrived_at
+        assert reply.sent_at == request.arrived_at
+        assert reply.sent_at <= reply.arrived_at
+        assert reply.latency <= (reply.arrived_at - request.sent_at)
+
+    def test_handler_exception_returns_error_response(self, remote):
         """An endpoint that *raises* (instead of returning an error
         response) must not kill the connection — the client gets a
         typed error frame back."""
@@ -250,36 +251,31 @@ class TestSocketTransport:
             def handle_frame(self, frame: bytes) -> bytes:
                 raise RuntimeError("endpoint blew up")
 
-        transport = SocketTransport()
-        try:
-            transport.bind("svc://a", Exploding())
-            response = transport.notify("cli://x", "svc://a",
-                                        wire.make_frame(b"any"), label="l")
-            assert b"endpoint blew up" not in response
-            with pytest.raises(TransportError, match="internal server error"):
-                wire.parse_response(response)
-        finally:
-            transport.close()
+        transport = remote(Exploding())
+        response = transport.notify("cli://x", "svc://a",
+                                    wire.make_frame(b"any"), label="l")
+        assert b"endpoint blew up" not in response
+        with pytest.raises(TransportError, match="internal server error"):
+            wire.parse_response(response)
 
     def test_oversize_frame_answered_with_error_not_silence(self):
         """A header claiming an absurd length must earn a serialized
         error response, not a dropped connection."""
         import socket as socket_mod
-        from repro.net.transport.socketnet import (_read_frame,
-                                                   serve_endpoint)
-        server = serve_endpoint(EchoEndpoint())
+        from repro.net.transport.tcpnet import _read_frame
+        server = AsyncTransport()
         try:
-            with socket_mod.create_connection(server.server_address,
-                                              timeout=5.0) as conn:
+            server.bind("svc://a", EchoEndpoint())
+            route = ("127.0.0.1", server.port_of("svc://a"))
+            with socket_mod.create_connection(route, timeout=5.0) as conn:
                 conn.sendall((1 << 31).to_bytes(4, "big") + b"junk")
-                response = _read_frame(conn)
+                response = _read_frame(conn, bytearray())
             assert response is not None
             with pytest.raises(TransportError,
                                match="could not read frame"):
                 wire.parse_response(response)
         finally:
-            server.shutdown()
-            server.server_close()
+            server.close()
 
 
 class TestSocketTuning:
@@ -289,10 +285,10 @@ class TestSocketTuning:
 
     def test_server_listener_options(self):
         import socket as socket_mod
-        transport = SocketTransport()
+        transport = AsyncTransport()
         try:
             transport.bind("svc://a", EchoEndpoint())
-            listener = transport._servers[0].socket
+            listener, _thread = transport._listeners[0]
             assert listener.getsockopt(socket_mod.SOL_SOCKET,
                                        socket_mod.SO_REUSEADDR)
             assert listener.getsockopt(socket_mod.IPPROTO_TCP,
@@ -302,11 +298,11 @@ class TestSocketTuning:
 
     def test_accepted_and_client_connections_get_nodelay(self):
         import socket as socket_mod
-        from repro.net.transport import socketnet
+        from repro.net.transport import tcpnet
 
-        transport = SocketTransport()
+        transport = AsyncTransport()
         seen = []
-        original_tune = socketnet._tune_socket
+        original_tune = tcpnet._tune_socket
 
         def spy(conn):
             original_tune(conn)
@@ -319,13 +315,13 @@ class TestSocketTuning:
             except OSError:  # pragma: no cover - peer already gone
                 pass
 
-        socketnet._tune_socket = spy
+        tcpnet._tune_socket = spy
         try:
             transport.bind("svc://a", EchoEndpoint())
             transport.request("cli://x", "svc://a",
                               wire.make_frame(b"echo", b"t"), label="step")
         finally:
-            socketnet._tune_socket = original_tune
+            tcpnet._tune_socket = original_tune
             transport.close()
         # Listener + accepted server socket + client socket all pass
         # through _tune_socket and come out with both options set.

@@ -7,7 +7,7 @@ Usage::
     python tools/hcpplint.py --rules layering src/repro/core/protocols
     python tools/hcpplint.py --format json
     python tools/hcpplint.py --format sarif        # SARIF 2.1.0 document
-    python tools/hcpplint.py --since origin/main   # only changed files
+    python tools/hcpplint.py --since origin/main   # findings in changed files
     python tools/hcpplint.py --no-baseline         # show suppressed too
 
 Exit codes: 0 clean, 1 findings (or stale baseline entries), 2 usage /
@@ -25,6 +25,7 @@ cache (useful for CI cache restores).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -60,10 +61,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--no-baseline", action="store_true",
                         help="ignore the baseline; report everything")
     parser.add_argument("--since", default=None, metavar="REV",
-                        help="analyze only files changed since the git "
-                             "revision — a fast pre-push check; the "
-                             "full-target run stays authoritative for "
-                             "cross-file rules")
+                        help="report only findings in files changed "
+                             "since the git revision; the whole project "
+                             "is still analyzed, so cross-file rules "
+                             "see every caller")
     parser.add_argument("--cache", default=None, metavar="PATH",
                         help="findings cache file (default: %s at the "
                              "repo root)" % DEFAULT_CACHE)
@@ -139,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             print("hcpplint: no such target %r" % target, file=sys.stderr)
             return 2
 
+    changed = None
     if args.since is not None:
         changed = _changed_since(args.since, targets)
         if changed is None:
@@ -149,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
             print("hcpplint: no files changed since %s — clean"
                   % args.since)
             return 0
-        targets = changed
 
     cache = None
     if not args.no_cache:
@@ -157,7 +158,21 @@ def main(argv: list[str] | None = None) -> int:
                                                          DEFAULT_CACHE))
 
     analyzer = Analyzer(REPO_ROOT, rules=rules, baseline=baseline)
-    report = analyzer.run(targets, cache=cache)
+    if changed is None:
+        report = analyzer.run(targets, cache=cache)
+    else:
+        # A cross-file rule run on a subset mistakes the missing files
+        # for missing callers: analyze the whole project, then report
+        # only the changed files.
+        report = analyzer.run(sorted(set(DEFAULT_TARGETS) | set(targets)),
+                              cache=cache)
+        keep = set(changed)
+        report = dataclasses.replace(
+            report,
+            findings=[f for f in report.findings if f.path in keep],
+            suppressed=[f for f in report.suppressed if f.path in keep],
+            unused_baseline=[e for e in report.unused_baseline
+                             if e["path"] in keep])
 
     if args.fmt == "sarif":
         print(render_sarif(report, rules if rules is not None

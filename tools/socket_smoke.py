@@ -20,19 +20,23 @@ fresh child over the same directory, and the retrieval must still
 return the identical plaintext — recovered purely from the on-disk
 write-ahead journal.
 
-``--async`` swaps both processes onto the asyncio multiplexed backend:
-after the upload, the client pre-seals a batch of keyword searches and
-fires them from concurrent threads down ONE pipelined TCP connection —
-every caller must get its own keyword's files back (correlation ids
-route the out-of-order replies) and the measured peak in-flight depth
-must exceed one, proving genuine cross-process pipelining.
+The client keeps ONE transport, and so one connection pool, for the
+whole run; in ``--durable`` mode that pool outlives the killed server,
+and the checkout probe must drop the dead connection and dial the
+restarted one.
+
+``--concurrent``: after the upload, the client pre-seals a batch of
+keyword searches and fires them from concurrent threads at once —
+every caller must get its own keyword's files back and the measured
+peak in-flight depth must exceed one, proving the requests really
+overlapped across the two processes.
 
 Usage::
 
     python tools/socket_smoke.py --auto            # spawns its own server
     python tools/socket_smoke.py --auto --chaos    # + connect failures/drops
     python tools/socket_smoke.py --auto --durable /tmp/smokedata  # + kill -9
-    python tools/socket_smoke.py --async           # pipelined mux smoke
+    python tools/socket_smoke.py --concurrent      # 8 overlapping callers
     python tools/socket_smoke.py --serve           # prints "PORT <n>"
     python tools/socket_smoke.py --client --port <n>
 """
@@ -60,16 +64,16 @@ def _build_system():
 
 
 def serve(port: int = 0, delay_s: float = 0.0,
-          data_dir: str | None = None, use_async: bool = False) -> int:
+          data_dir: str | None = None) -> int:
     from repro.core import dispatch
-    from repro.net.transport import AsyncTransport, SocketTransport
+    from repro.net.transport import AsyncTransport
     system = _build_system()
     if delay_s:
         # Chaos mode: the port is agreed in advance and we bind late, so
         # the client's early connects are refused — its bounded connect
         # retry must bridge the gap.
         time.sleep(delay_s)
-    transport = AsyncTransport() if use_async else SocketTransport()
+    transport = AsyncTransport()
     if data_dir:
         # Durable mode: binding over an existing data dir IS recovery —
         # a fresh OS process rebuilds the S-server from the journal.
@@ -94,20 +98,14 @@ def run_client(port: int, chaos: bool = False) -> int:
     from repro.ehr.records import Category
     from repro.core.protocols.retrieval import common_case_retrieval
     from repro.core.protocols.storage import private_phi_storage
-    from repro.net.transport import (FaultPolicy, RetryPolicy,
-                                     SocketTransport)
+    from repro.net.transport import FaultPolicy, RetryPolicy
 
     system = _build_system()
     patient, server = system.patient, system.sserver
+    transport = _client_transport(server.address, port)
     if chaos:
-        transport = SocketTransport(connect_retries=30)
         transport.set_retry_policy(RetryPolicy())
         transport.install_faults(FaultPolicy(**CHAOS_FAULT_SPEC))
-    else:
-        transport = SocketTransport()
-    transport.add_route(server.address, "127.0.0.1", port)
-    assert transport.endpoint_at(server.address) is None, \
-        "client must hold no server endpoint — that is the point"
 
     patient.add_record(Category.ALLERGIES, ["allergies", "penicillin"],
                        EXPECTED, server.address)
@@ -130,15 +128,16 @@ def run_client(port: int, chaos: bool = False) -> int:
     if chaos:
         counts = transport.fault_policy.counts
         print("chaos: %s" % dict(counts))
+    transport.close()
     print("SMOKE OK: PHI stored and retrieved across two OS processes"
           + (" under injected faults" if chaos else ""))
     return 0
 
 
-def run_async_client(port: int) -> int:
-    """Upload over the mux connection, then prove pipelining: N
-    pre-sealed searches fired from N threads share one TCP connection,
-    and correlation ids hand each caller its own keyword's files."""
+def run_concurrent_client(port: int) -> int:
+    """Upload, then prove concurrency: N pre-sealed searches fired from
+    N threads overlap on the wire, and each caller gets its own
+    keyword's files back."""
     import threading
 
     from repro.ehr.records import Category
@@ -147,14 +146,10 @@ def run_async_client(port: int) -> int:
                                                pack_fields, seal,
                                                unpack_fields)
     from repro.core.protocols.storage import private_phi_storage
-    from repro.net.transport import AsyncTransport
 
     system = _build_system()
     patient, server = system.patient, system.sserver
-    transport = AsyncTransport(connect_retries=30)
-    transport.add_route(server.address, "127.0.0.1", port)
-    assert transport.endpoint_at(server.address) is None, \
-        "client must hold no server endpoint — that is the point"
+    transport = _client_transport(server.address, port)
 
     patient.add_record(Category.ALLERGIES, ["allergies", "penicillin"],
                        EXPECTED, server.address)
@@ -202,7 +197,7 @@ def run_async_client(port: int) -> int:
         thread.start()
     for thread in threads:
         thread.join()
-    peak = transport.peak_in_flight()  # before close() drops the conns
+    peak = transport.peak_in_flight()
     transport.close()
     if errors:
         print("SMOKE FAIL: concurrent search raised %r" % errors[0])
@@ -223,8 +218,8 @@ def run_async_client(port: int) -> int:
               "searches never overlapped on the wire"
               % (peak, CONCURRENT_SEARCHES))
         return 1
-    print("SMOKE OK: %d searches pipelined on one mux connection "
-          "across two OS processes (peak in-flight %d)"
+    print("SMOKE OK: %d concurrent searches across two OS processes "
+          "(peak in-flight %d)"
           % (CONCURRENT_SEARCHES, peak))
     return 0
 
@@ -236,9 +231,11 @@ def _free_port() -> int:
 
 
 def _client_transport(server_address: str, port: int):
-    from repro.net.transport import SocketTransport
-    transport = SocketTransport(connect_retries=30)
+    from repro.net.transport import AsyncTransport
+    transport = AsyncTransport(connect_retries=30)
     transport.add_route(server_address, "127.0.0.1", port)
+    assert transport.endpoint_at(server_address) is None, \
+        "client must hold no server endpoint — that is the point"
     return transport
 
 
@@ -267,11 +264,11 @@ def run_durable(data_dir: str) -> int:
     patient.add_record(Category.ALLERGIES, ["allergies", "penicillin"],
                        EXPECTED, server.address)
     port = _free_port()
+    transport = _client_transport(server.address, port)
 
     child = _spawn_durable_server(port, data_dir)
     try:
-        store = private_phi_storage(patient, server,
-                                    _client_transport(server.address, port))
+        store = private_phi_storage(patient, server, transport)
         print("stored: collection=%s %d B"
               % (store.collection_id.hex()[:16], store.stats.bytes_total))
         # The kill is -9: no Python-level cleanup runs in the child, so
@@ -286,9 +283,9 @@ def run_durable(data_dir: str) -> int:
 
     child = _spawn_durable_server(port, data_dir)
     try:
-        result = common_case_retrieval(patient, server,
-                                       _client_transport(server.address,
-                                                         port),
+        # The same client transport: its pooled connection died with
+        # the old server and must not cost this request.
+        result = common_case_retrieval(patient, server, transport,
                                        ["allergies"])
         contents = [f.medical_content for f in result.files]
         if contents != [EXPECTED]:
@@ -297,15 +294,14 @@ def run_durable(data_dir: str) -> int:
         print("SMOKE OK: PHI survived kill -9 via the on-disk journal")
         return 0
     finally:
+        transport.close()
         child.terminate()
         child.wait(timeout=10)
 
 
-def run_auto(chaos: bool = False, use_async: bool = False) -> int:
+def run_auto(chaos: bool = False, concurrent: bool = False) -> int:
     command = [sys.executable, __file__, "--serve"]
     port = None
-    if use_async:
-        command += ["--async"]
     if chaos:
         port = _free_port()
         command += ["--port", str(port),
@@ -320,8 +316,8 @@ def run_auto(chaos: bool = False, use_async: bool = False) -> int:
             port = int(line.split()[1])
         # In chaos mode the client starts BEFORE the server is up, on a
         # pre-agreed port — the first connects are refused on purpose.
-        if use_async:
-            return run_async_client(port)
+        if concurrent:
+            return run_concurrent_client(port)
         return run_client(port, chaos=chaos)
     finally:
         child.terminate()
@@ -337,10 +333,9 @@ def main() -> int:
                       help="host the S-server endpoint; prints PORT")
     mode.add_argument("--client", action="store_true",
                       help="run the client against --port")
-    parser.add_argument("--async", dest="use_async", action="store_true",
-                        help="use the asyncio multiplexed backend and fire "
-                             "concurrent pipelined searches (alone: implies "
-                             "--auto)")
+    parser.add_argument("--concurrent", action="store_true",
+                        help="fire %d searches from concurrent threads "
+                             "(alone: implies --auto)" % CONCURRENT_SEARCHES)
     parser.add_argument("--port", type=int, default=None)
     parser.add_argument("--serve-delay", type=float, default=0.0,
                         help="(with --serve) bind the port only after this "
@@ -354,25 +349,25 @@ def main() -> int:
                              "(with --serve) serve durably from DIR")
     args = parser.parse_args()
     if not (args.auto or args.serve or args.client):
-        if not args.use_async:
+        if not args.concurrent:
             parser.error("one of --auto/--serve/--client is required")
         args.auto = True
-    if args.use_async and (args.chaos or args.durable):
-        # Fault/crash coverage for the async backend lives in the pytest
+    if args.concurrent and (args.chaos or args.durable):
+        # Fault/crash coverage under concurrency lives in the pytest
         # chaos matrix (tests/net/test_faults.py, test_recovery.py).
-        parser.error("--async does not combine with --chaos/--durable")
+        parser.error("--concurrent does not combine with --chaos/--durable")
     if args.serve:
         return serve(port=args.port or 0, delay_s=args.serve_delay,
-                     data_dir=args.durable, use_async=args.use_async)
+                     data_dir=args.durable)
     if args.client:
         if args.port is None:
             parser.error("--client requires --port")
-        if args.use_async:
-            return run_async_client(args.port)
+        if args.concurrent:
+            return run_concurrent_client(args.port)
         return run_client(args.port, chaos=args.chaos)
     if args.durable:
         return run_durable(args.durable)
-    return run_auto(chaos=args.chaos, use_async=args.use_async)
+    return run_auto(chaos=args.chaos, concurrent=args.concurrent)
 
 
 if __name__ == "__main__":
